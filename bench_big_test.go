@@ -3,9 +3,8 @@
 // Benchmarks for the 300/1354-bus scalability systems. These sit behind the
 // bigbench build tag because even one iteration costs seconds to tens of
 // seconds; the CI bench-smoke lane runs them with -tags bigbench
-// -benchtime=1x so the big-system paths cannot rot unnoticed, and
-// BENCH_sparse.json records the curated numbers (cmd/benchreport -fig
-// sparse regenerates them).
+// -benchtime=1x so the big-system paths cannot rot unnoticed.
+// EXPERIMENTS.md keeps the historical sparse-substrate numbers.
 package gridattack_test
 
 import (

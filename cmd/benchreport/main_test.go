@@ -48,30 +48,6 @@ func TestReportTable4(t *testing.T) {
 	}
 }
 
-func TestReportSoak(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-fig", "soak", "-cases", "paper5", "-soak-cycles", "30"}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "Continuous-operation soak") || !strings.Contains(s, "paper5") {
-		t.Errorf("unexpected output:\n%s", s)
-	}
-}
-
-func TestReportServe(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-fig", "serve", "-cases", "paper5", "-serve-queries", "60"}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	s := out.String()
-	for _, want := range []string{"Service throughput", "hot", "ladder", "cold", "queries/s", "cache"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-}
-
 func TestReportErrors(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(nil, &out); err == nil {
@@ -79,6 +55,17 @@ func TestReportErrors(t *testing.T) {
 	}
 	if err := run([]string{"-fig", "9z"}, &out); err == nil {
 		t.Error("want error for unknown artifact")
+	}
+	// Performance is measured by the bench/ harness, not here: a retired
+	// performance kind must fail and the message must name only the
+	// paper's artifacts and cert.
+	err := run([]string{"-fig", "serve"}, &out)
+	if err == nil {
+		t.Fatal("want error for the retired serve artifact")
+	}
+	want := `unknown artifact "serve" (want 4a, 4b, 4c, 5a, 5b, 5c, t4, cert)`
+	if err.Error() != want {
+		t.Errorf("error = %q, want %q", err, want)
 	}
 	if err := run([]string{"-fig", "4a", "-cases", "nope"}, &out); err == nil {
 		t.Error("want error for unknown case")

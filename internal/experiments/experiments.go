@@ -53,15 +53,6 @@ type TimeRow struct {
 	// Search and Verify split the elapsed time between the attack model
 	// and the OPF model (paper Fig. 5's separation).
 	Search, Verify time.Duration
-	// Stats aggregates the SMT effort counters of the run (attack model +
-	// SMT-backed verification); the 'arith' benchreport artifact prints the
-	// arithmetic-kernel split from here.
-	Stats smt.Stats
-	// Pruned counts candidates the LODF prescreen discarded; LP summarizes
-	// the warm-started verification LP work (the 'sparse' artifact prints
-	// both).
-	Pruned int
-	LP     opf.WarmStats
 }
 
 // SweepConfig parameterizes a Fig. 4 style sweep.
@@ -76,9 +67,6 @@ type SweepConfig struct {
 	// the sequential reference loop so published sweep numbers stay
 	// comparable across machines by default.
 	Parallelism int
-	// NoPrescreen disables the LODF candidate prescreen (A/B baseline for
-	// the 'sparse' artifact; verdicts are identical either way).
-	NoPrescreen bool
 }
 
 func (c *SweepConfig) fill() {
@@ -115,7 +103,6 @@ func RunImpactSweep(cfg SweepConfig) ([]TimeRow, error) {
 			a.MaxConflicts = cfg.MaxConflicts
 			a.QueryTimeout = QueryTimeout
 			a.Verify = cfg.Verify
-			a.NoPrescreen = cfg.NoPrescreen
 			a.Parallelism = cfg.Parallelism
 			if a.Parallelism == 0 {
 				a.Parallelism = 1
@@ -135,9 +122,6 @@ func RunImpactSweep(cfg SweepConfig) ([]TimeRow, error) {
 				Elapsed:  rep.Elapsed,
 				Search:   rep.AttackSearchTime,
 				Verify:   rep.VerifyTime,
-				Stats:    rep.SolverStats,
-				Pruned:   rep.PrescreenPruned,
-				LP:       rep.LPStats,
 			})
 		}
 	}
@@ -316,83 +300,6 @@ func RunMemory(caseNames []string, maxConflicts int64) ([]MemoryRow, error) {
 			AttackModel: attackMB,
 			OPFModel:    opfMB,
 		})
-	}
-	return rows, nil
-}
-
-// ScalingRow is one parallel-scaling measurement: the same impact analysis
-// run at a given Analyzer.Parallelism level. Rows sharing a case differ only
-// in Workers and Elapsed — the determinism contract guarantees identical
-// verdicts, and RunParallelScaling enforces that.
-type ScalingRow struct {
-	Case    string
-	Buses   int
-	Workers int
-	Found   bool
-	Exhaust bool
-	Iters   int
-	Elapsed time.Duration
-}
-
-// RunParallelScaling measures impact-analysis wall-clock time at increasing
-// parallelism on an unsat-heavy workload — the Fig. 4(c) regime, where
-// exhausting the attack space dominates and the solver portfolio has the
-// most room to help. It errors if any level's verdict diverges from the
-// sequential run, which would falsify the determinism contract.
-func RunParallelScaling(caseNames []string, levels []int, maxConflicts int64) ([]ScalingRow, error) {
-	if len(caseNames) == 0 {
-		caseNames = []string{"paper5", "ieee14"}
-	}
-	if len(levels) == 0 {
-		levels = []int{1, 2, 4, 8}
-	}
-	reg := cases.Registry()
-	var rows []ScalingRow
-	for _, name := range caseNames {
-		c, ok := reg[name]
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown case %q", name)
-		}
-		var ref *core.Report
-		for _, n := range levels {
-			// A generous full-plan attacker chasing an unreachable target:
-			// the loop must enumerate and refute every candidate vector, so
-			// the verify stage (and the portfolio underneath it) stays busy.
-			a := &core.Analyzer{
-				Grid: c.Grid,
-				Plan: c.Plan,
-				Capability: attack.Capability{
-					MaxMeasurements:       10,
-					MaxBuses:              4,
-					RequireTopologyChange: true,
-				},
-				TargetIncreasePercent: UnsatTargetPercent,
-				MaxIterations:         MaxIterationsCap,
-				MaxConflicts:          maxConflicts,
-				QueryTimeout:          QueryTimeout,
-				Verify:                core.VerifySMT,
-				Parallelism:           n,
-			}
-			rep, err := a.Run()
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s parallelism %d: %w", name, n, err)
-			}
-			if ref == nil {
-				ref = rep
-			} else if rep.Found != ref.Found || rep.Exhausted != ref.Exhausted || rep.Iterations != ref.Iterations {
-				return nil, fmt.Errorf("experiments: %s parallelism %d verdict diverged (found=%v exhausted=%v iters=%d, want found=%v exhausted=%v iters=%d)",
-					name, n, rep.Found, rep.Exhausted, rep.Iterations, ref.Found, ref.Exhausted, ref.Iterations)
-			}
-			rows = append(rows, ScalingRow{
-				Case:    name,
-				Buses:   c.Grid.NumBuses(),
-				Workers: n,
-				Found:   rep.Found,
-				Exhaust: rep.Exhausted,
-				Iters:   rep.Iterations,
-				Elapsed: rep.Elapsed,
-			})
-		}
 	}
 	return rows, nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -272,5 +273,70 @@ func TestRecoverSkipsCorruptArtifacts(t *testing.T) {
 	}
 	if cs := s.Cache().Stats(); cs.Entries != 0 {
 		t.Fatalf("corrupt artifacts reached the cache: %+v", cs)
+	}
+}
+
+// TestRecoverResumesUnreadableResult: a result file that exists but cannot be
+// reloaded must not strand its job. Recover resumes the stored request, the
+// verdict matches the original solve, and a readable result replaces the
+// damaged one.
+func TestRecoverResumesUnreadableResult(t *testing.T) {
+	req := JobRequest{Input: caseInputText(t, "paper5", 2, 3)}
+	parsed, ref, dir := referenceRun(t, req)
+	resultFile := filepath.Join(dir, parsed.Key+".result.json")
+	if err := os.WriteFile(resultFile, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, _ := newTestServer(t, Config{JournalDir: dir, Workers: 1})
+	reloaded, resumed, err := s.Recover()
+	if err != nil || reloaded != 0 || resumed != 1 {
+		t.Fatalf("Recover = (%d, %d, %v), want (0, 1, nil)", reloaded, resumed, err)
+	}
+	st := waitJobInProc(t, s, parsed.Key)
+	if st.State != JobDone {
+		t.Fatalf("resumed job failed: %s", st.Error)
+	}
+	if !bytes.Equal(st.Result.VerdictBytes(), ref.Result.VerdictBytes()) {
+		t.Fatalf("resumed verdict differs from the original solve:\n%s\nvs\n%s",
+			st.Result.VerdictBytes(), ref.Result.VerdictBytes())
+	}
+	data, err := os.ReadFile(resultFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res Result
+	if err := json.Unmarshal(data, &res); err != nil || res.Key != parsed.Key {
+		t.Fatalf("damaged result file not rewritten: %q (%v)", data, err)
+	}
+}
+
+// TestRecoverRemovesOrphanTempFiles: temp files left by a crash between
+// writeFileAtomic's write and rename are deleted, while the durable
+// artifacts next to them are still recovered.
+func TestRecoverRemovesOrphanTempFiles(t *testing.T) {
+	req := JobRequest{Input: caseInputText(t, "paper5", 2, 3)}
+	parsed, _, dir := referenceRun(t, req)
+	orphans := []string{parsed.Key + ".result.json.tmp", "ffff.req.json.tmp"}
+	for _, name := range orphans {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(`{"torn`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, _ := newTestServer(t, Config{JournalDir: dir, Workers: 1})
+	reloaded, resumed, err := s.Recover()
+	if err != nil || reloaded != 1 || resumed != 0 {
+		t.Fatalf("Recover = (%d, %d, %v), want (1, 0, nil)", reloaded, resumed, err)
+	}
+	for _, name := range orphans {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("orphan %s survived recovery (err=%v)", name, err)
+		}
+	}
+	for _, suffix := range []string{".req.json", ".result.json"} {
+		if _, err := os.Stat(filepath.Join(dir, parsed.Key+suffix)); err != nil {
+			t.Errorf("recovery removed a durable artifact: %v", err)
+		}
 	}
 }

@@ -226,7 +226,11 @@ func (s *Server) Submit(parsed *ParsedJob, tenant string, rawRequest []byte) (*J
 // persisted requests without a result are resubmitted — their checkpoint
 // journals make single-target jobs resume at the first incomplete iteration
 // (bit-identically, finalized journals re-solving nothing), while ladder
-// jobs restart from scratch. Returns (results reloaded, jobs resumed).
+// jobs restart from scratch. A request whose result file exists but cannot
+// be reloaded (torn, corrupt, or not definitive) is resumed like one with no
+// result at all. Orphan temp files from a crash inside writeFileAtomic are
+// deleted. Call it before the server takes submissions. Returns (results
+// reloaded, jobs resumed).
 func (s *Server) Recover() (reloaded, resumed int, err error) {
 	if s.cfg.JournalDir == "" {
 		return 0, 0, nil
@@ -235,8 +239,17 @@ func (s *Server) Recover() (reloaded, resumed int, err error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("serve: recover: %w", err)
 	}
+	cached := make(map[string]bool)
 	for _, e := range entries {
 		name := e.Name()
+		if strings.HasSuffix(name, ".tmp") {
+			// The crash fell between write and rename, so the target was
+			// never replaced and the temp file holds nothing to recover.
+			if rmErr := os.Remove(filepath.Join(s.cfg.JournalDir, name)); rmErr != nil {
+				s.cfg.Logf("serve: recover: removing %s: %v", name, rmErr)
+			}
+			continue
+		}
 		if !strings.HasSuffix(name, ".result.json") {
 			continue
 		}
@@ -252,7 +265,7 @@ func (s *Server) Recover() (reloaded, resumed int, err error) {
 			continue
 		}
 		if s.cache.Put(key, &res) {
-			reloaded++
+			cached[key] = true
 		}
 	}
 	for _, e := range entries {
@@ -261,7 +274,7 @@ func (s *Server) Recover() (reloaded, resumed int, err error) {
 			continue
 		}
 		key := strings.TrimSuffix(name, ".req.json")
-		if _, statErr := os.Stat(s.resultPath(key)); statErr == nil {
+		if cached[key] {
 			continue // finished and durably recorded; the cache has it
 		}
 		data, rerr := os.ReadFile(filepath.Join(s.cfg.JournalDir, name))
@@ -285,7 +298,7 @@ func (s *Server) Recover() (reloaded, resumed int, err error) {
 		}
 		resumed++
 	}
-	return reloaded, resumed, nil
+	return len(cached), resumed, nil
 }
 
 // testJobHook, when set, runs at the start of every job execution; the

@@ -15,9 +15,8 @@ import (
 )
 
 // mustCaseInputText renders a registry case's seeded scenario into the
-// paper's text input format — the same deterministic construction the load
-// generator uses, so tests and load share problem material. Panics on
-// registry errors (test-only helper; also feeds fuzz seeds).
+// paper's text input format. Panics on registry errors (test-only helper;
+// also feeds fuzz seeds).
 func mustCaseInputText(name string, seed int64, minIncrease float64) string {
 	c, err := cases.ByName(name)
 	if err != nil {
@@ -101,7 +100,7 @@ func waitDone(t *testing.T, base, id string) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
-		st, terminal := pollResult(http.DefaultClient, base, id)
+		st, terminal := pollResult(base, id)
 		if terminal {
 			return st
 		}
@@ -109,4 +108,24 @@ func waitDone(t *testing.T, base, id string) JobStatus {
 	}
 	t.Fatalf("job %s did not finish in time", id)
 	return JobStatus{}
+}
+
+// pollResult fetches a job's result endpoint; ok reports a terminal state.
+func pollResult(base, id string) (JobStatus, bool) {
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/result")
+	if err != nil {
+		return JobStatus{}, false
+	}
+	defer func() {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusUnprocessableEntity {
+		return JobStatus{}, false
+	}
+	var st JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		return JobStatus{}, false
+	}
+	return st, st.State == JobDone || st.State == JobFailed
 }

@@ -1,8 +1,8 @@
 // Micro-benchmarks for the LRA theory solver's arithmetic kernel: the hot
 // pivotAndUpdate path, bound-heavy propagation workloads, and incremental
-// re-checking. cmd/benchreport -fig arith prints the corresponding
-// fast-path/fallback counters; BENCH_arith.json records the before/after
-// numbers of the hybrid-rational + flat-tableau overhaul.
+// re-checking. The analyze-smt workload of bench/gridbench records the
+// corresponding fast-path/fallback counters; EXPERIMENTS.md keeps the
+// before/after numbers of the hybrid-rational + flat-tableau overhaul.
 package smt
 
 import (
