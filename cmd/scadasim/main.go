@@ -283,16 +283,11 @@ func runSoak(stdout io.Writer, caseName string, cycles int, matrixSpec string, s
 		Retries:           retries,
 		JournalPath:       journalPath,
 	}
-	var sup *gridattack.FleetSupervisor
+	newSup := gridattack.NewFleetSupervisor
 	if journalPath != "" {
-		if _, statErr := os.Stat(journalPath); statErr == nil {
-			sup, err = gridattack.ResumeFleetSupervisor(cfg)
-		} else {
-			sup, err = gridattack.NewFleetSupervisor(cfg)
-		}
-	} else {
-		sup, err = gridattack.NewFleetSupervisor(cfg)
+		newSup = gridattack.ResumeFleetSupervisor
 	}
+	sup, err := newSup(cfg)
 	if err != nil {
 		return err
 	}

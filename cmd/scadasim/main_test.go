@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -101,6 +102,34 @@ func TestSoakJournalResume(t *testing.T) {
 	}
 	if !strings.Contains(second.String(), "resumed from journal after cycle 10") {
 		t.Errorf("second run should resume from the journal:\n%s", second.String())
+	}
+}
+
+// TestSoakJournalNoHeaderStartsFresh: an empty journal file, or one torn
+// inside its header, holds nothing to resume — the soak starts fresh, and
+// the journal it writes resumes on the next run.
+func TestSoakJournalNoHeaderStartsFresh(t *testing.T) {
+	for name, content := range map[string]string{
+		"empty":       "",
+		"torn header": `{"kind":"header","vers`,
+	} {
+		journal := filepath.Join(t.TempDir(), "soak.journal")
+		if err := os.WriteFile(journal, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var first, second bytes.Buffer
+		if err := run([]string{"-soak", "3", "-case", "paper5", "-journal", journal}, &first); err != nil {
+			t.Fatalf("%s: soak over a headerless journal: %v", name, err)
+		}
+		if strings.Contains(first.String(), "resumed from journal") {
+			t.Errorf("%s: fresh run claims to have resumed:\n%s", name, first.String())
+		}
+		if err := run([]string{"-soak", "3", "-case", "paper5", "-journal", journal}, &second); err != nil {
+			t.Fatalf("%s: second soak: %v", name, err)
+		}
+		if !strings.Contains(second.String(), "resumed from journal after cycle 3") {
+			t.Errorf("%s: second run should resume from the journal:\n%s", name, second.String())
+		}
 	}
 }
 

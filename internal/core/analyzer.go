@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -24,6 +23,7 @@ import (
 	"gridattack/internal/attack"
 	"gridattack/internal/dist"
 	"gridattack/internal/grid"
+	"gridattack/internal/journal"
 	"gridattack/internal/measure"
 	"gridattack/internal/opf"
 	"gridattack/internal/smt"
@@ -287,14 +287,21 @@ func (a *Analyzer) Run() (*Report, error) {
 				a.JournalObserver(rec)
 			}
 			if jr != nil {
-				jr.SetObserver(a.JournalObserver)
+				jr.observer = a.JournalObserver
 			}
 		}
 		if jr != nil {
 			defer jr.Close()
 		}
 		if !done && len(recs) > 0 {
-			done, err = a.replayCheckpoint(rep, model, jr, recs, maxIter)
+			var rewarm func(*attack.Vector) error
+			if ws != nil {
+				rewarm = func(v *attack.Vector) error {
+					_, _, err := a.verify(context.Background(), v, fac, ws, pre, threshold, 1, acc)
+					return err
+				}
+			}
+			done, err = a.replayCheckpoint(rep, model, jr, recs, maxIter, rewarm)
 			if err != nil {
 				return nil, err
 			}
@@ -417,21 +424,18 @@ func (a *Analyzer) journalConfig(baseline, threshold float64, maxIter int) Journ
 	}
 }
 
-// openCheckpoint opens or creates the journal at a.CheckpointPath. It
+// openCheckpoint opens or creates the journal at a.CheckpointPath (a file
+// without a complete header is no journal: the run starts fresh). It
 // returns the journal positioned for appending, the iteration records to
 // replay, and done=true when the journal already holds the final verdict
 // (in which case rep carries the reconstructed outcome and no journal is
 // returned).
 func (a *Analyzer) openCheckpoint(cfg JournalConfig, rep *Report) (*Journal, []JournalRecord, bool, error) {
-	st, err := os.Stat(a.CheckpointPath)
-	if errors.Is(err, os.ErrNotExist) || (err == nil && st.Size() == 0) {
+	j, have, recs, err := OpenJournal(a.CheckpointPath)
+	if errors.Is(err, journal.ErrNoJournal) {
 		j, err := CreateJournal(a.CheckpointPath, cfg)
 		return j, nil, false, err
 	}
-	if err != nil {
-		return nil, nil, false, err
-	}
-	j, have, recs, err := OpenJournal(a.CheckpointPath)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -439,11 +443,11 @@ func (a *Analyzer) openCheckpoint(cfg JournalConfig, rep *Report) (*Journal, []J
 		j.Close()
 		return nil, nil, false, fmt.Errorf("%w: %s was written by a different analysis configuration", ErrJournal, a.CheckpointPath)
 	}
-	if n := len(recs); n > 0 && recs[n-1].Kind == recFinal {
+	if n := len(recs); n > 0 && recs[n-1].Kind == RecFinal {
 		// Fully finalized run: reconstruct the verdict without re-solving.
 		fin := recs[n-1]
 		for _, r := range recs {
-			if r.Kind == recIter {
+			if r.Kind == RecIter {
 				rep.Iterations++
 				rep.ResumedIterations++
 			}
@@ -463,13 +467,16 @@ func (a *Analyzer) openCheckpoint(cfg JournalConfig, rep *Report) (*Journal, []J
 // replayCheckpoint re-runs the journaled iterations. The candidate searches
 // are recomputed — the solver's learned clauses and heuristic state are what
 // make the candidate sequence deterministic, so that state must be rebuilt —
-// but the journaled verification verdicts are reused, skipping the OPF work.
-// Each regenerated candidate must match the journal exactly; a mismatch
-// means the journal belongs to a different problem. Returns done=true when
-// the replay reached a definitive verdict.
-func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journal, recs []JournalRecord, maxIter int) (bool, error) {
+// but the journaled verification verdicts are reused. rewarm, when set,
+// re-runs a verification for its side effect: warm LP solves depend on the
+// previous same-topology solve, so skipping them drifts later verdicts by
+// an ulp. Each regenerated
+// candidate must match the journal exactly; a mismatch means the journal
+// belongs to a different problem. Returns done=true when the replay reached
+// a definitive verdict.
+func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journal, recs []JournalRecord, maxIter int, rewarm func(*attack.Vector) error) (bool, error) {
 	for _, rec := range recs {
-		if rec.Kind != recIter {
+		if rec.Kind != RecIter {
 			return true, fmt.Errorf("%w: unexpected %q record during replay", ErrJournal, rec.Kind)
 		}
 		if rep.Iterations >= maxIter {
@@ -495,6 +502,11 @@ func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journa
 			rep.Vector = v
 			rep.AttackedCost = rec.Cost
 			return true, jr.AppendFinal(true, false, v, rec.Cost)
+		}
+		if rewarm != nil {
+			if err := rewarm(v); err != nil {
+				return true, err
+			}
 		}
 		model.Block(v, a.BlockPrecision)
 	}

@@ -1,27 +1,16 @@
-// Checkpoint journal: an append-only, fsync'd, hash-chained record of the
-// Fig. 2 loop's progress, letting an analysis killed mid-run resume at the
-// first incomplete iteration with verdicts identical to an uninterrupted run.
-//
-// Format: one JSON object per line. The first record is a header carrying
-// the format version and a configuration fingerprint; every subsequent
-// record is either a completed find–verify iteration or the final verdict.
-// Each record stores the hex SHA-256 of its own content and of its
-// predecessor's, forming a chain: any in-place edit, reordering, or deletion
-// breaks verification on open. A torn final line (the process died inside a
-// write) is truncated away on open; everything before it is intact because
-// every append is fsync'd before the analysis acts on the iteration.
+// Checkpoint journal: the Fig. 2 loop's progress on the shared durable log
+// (internal/journal), letting an analysis killed mid-run resume at the first
+// incomplete iteration with verdicts identical to an uninterrupted run.
 package core
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 
 	"gridattack/internal/attack"
+	"gridattack/internal/journal"
 )
 
 // journalVersion identifies the checkpoint format; bump on layout changes.
@@ -34,13 +23,8 @@ var ErrJournal = errors.New("core: invalid checkpoint journal")
 // layer streams records as server-sent events) switch on JournalRecord.Kind
 // without duplicating the strings.
 const (
-	RecHeader = "header"
-	RecIter   = "iter"
-	RecFinal  = "final"
-
-	recHeader = RecHeader
-	recIter   = RecIter
-	recFinal  = RecFinal
+	RecIter  = "iter"
+	RecFinal = "final"
 )
 
 // JournalConfig fingerprints the analysis a journal belongs to. Resuming
@@ -68,13 +52,9 @@ type JournalConfig struct {
 	RequireTopologyChange bool    `json:"require_topology_change"`
 }
 
-// JournalRecord is one line of the checkpoint journal.
+// JournalRecord is one line of the checkpoint journal after the header.
 type JournalRecord struct {
 	Kind string `json:"kind"`
-
-	// Header fields.
-	Version int            `json:"version,omitempty"`
-	Config  *JournalConfig `json:"config,omitempty"`
 
 	// Iteration fields: candidate vector and its verification verdict.
 	Iter    int            `json:"iter,omitempty"`
@@ -87,140 +67,46 @@ type JournalRecord struct {
 	Exhausted    bool    `json:"exhausted,omitempty"`
 	AttackedCost float64 `json:"attacked_cost,omitempty"`
 
-	// Hash chain: Prev is the predecessor's Hash ("" for the header); Hash
-	// is the hex SHA-256 of this record marshaled with Hash set to "".
-	Prev string `json:"prev"`
-	Hash string `json:"hash"`
+	journal.Link
 }
 
-// recordHash computes the chain hash of rec (its Hash field is ignored).
-func recordHash(rec *JournalRecord) (string, error) {
-	clone := *rec
-	clone.Hash = ""
-	payload, err := json.Marshal(&clone)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(payload)
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// Journal is an open checkpoint journal positioned for appending.
+// Journal is an open checkpoint journal positioned for appending. observer,
+// when set, receives every record once it is durably appended.
 type Journal struct {
-	f        *os.File
-	path     string
-	prev     string
+	log      *journal.Log
 	observer func(JournalRecord)
 }
-
-// SetObserver registers a callback invoked with every record after it has
-// been durably appended (written and fsync'd). The callback runs on the
-// appending goroutine, so it must not block for long; nil clears it.
-func (j *Journal) SetObserver(fn func(JournalRecord)) { j.observer = fn }
 
 // CreateJournal starts a fresh journal at path (truncating any previous
 // content) and writes the fsync'd header record.
 func CreateJournal(path string, cfg JournalConfig) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	l, err := journal.Create(path, journalVersion, cfg)
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{f: f, path: path}
-	if err := j.append(&JournalRecord{Kind: recHeader, Version: journalVersion, Config: &cfg}); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
+	return &Journal{log: l}, nil
 }
 
-// OpenJournal reads an existing journal, verifies the hash chain, truncates
-// a torn unterminated final line, and returns the journal positioned for
-// appending together with its configuration and the records after the
-// header. Any integrity violation other than a torn tail is an error.
+// OpenJournal verifies a checkpoint journal (see journal.Open) and returns
+// it with its configuration and the records after the header. Errors from
+// an invalid journal match ErrJournal.
 func OpenJournal(path string) (*Journal, *JournalConfig, []JournalRecord, error) {
-	data, err := os.ReadFile(path)
+	var cfg JournalConfig
+	l, recs, err := journal.Open[JournalRecord](path, journalVersion, &cfg)
+	if errors.Is(err, journal.ErrInvalid) {
+		err = fmt.Errorf("%w: %w", ErrJournal, err)
+	}
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	keep := len(data)
-	if keep > 0 && data[keep-1] != '\n' {
-		// The process died mid-write: the unterminated tail was never acted
-		// on (appends are fsync'd before the analysis proceeds), so it is
-		// safe to drop. Anything before it is covered by the hash chain.
-		if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
-			keep = i + 1
-		} else {
-			keep = 0
-		}
-		if err := os.Truncate(path, int64(keep)); err != nil {
-			return nil, nil, nil, err
-		}
-		data = data[:keep]
-	}
-	if keep == 0 {
-		return nil, nil, nil, fmt.Errorf("%w: %s holds no complete records", ErrJournal, path)
-	}
-
-	var cfg *JournalConfig
-	var recs []JournalRecord
-	prev := ""
-	for n, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
-		var rec JournalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: %s line %d: %v", ErrJournal, path, n+1, err)
-		}
-		want, err := recordHash(&rec)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if rec.Hash != want {
-			return nil, nil, nil, fmt.Errorf("%w: %s line %d: hash mismatch (content altered)", ErrJournal, path, n+1)
-		}
-		if rec.Prev != prev {
-			return nil, nil, nil, fmt.Errorf("%w: %s line %d: broken hash chain (records altered or reordered)", ErrJournal, path, n+1)
-		}
-		prev = rec.Hash
-		if n == 0 {
-			if rec.Kind != recHeader || rec.Config == nil {
-				return nil, nil, nil, fmt.Errorf("%w: %s does not start with a header record", ErrJournal, path)
-			}
-			if rec.Version != journalVersion {
-				return nil, nil, nil, fmt.Errorf("%w: %s has format version %d, this build reads %d", ErrJournal, path, rec.Version, journalVersion)
-			}
-			cfg = rec.Config
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	if cfg == nil {
-		return nil, nil, nil, fmt.Errorf("%w: %s does not start with a header record", ErrJournal, path)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return &Journal{f: f, path: path, prev: prev}, cfg, recs, nil
+	return &Journal{log: l}, &cfg, recs, nil
 }
 
-// append chains, writes, and fsyncs one record.
+// append durably appends one record, then notifies the observer.
 func (j *Journal) append(rec *JournalRecord) error {
-	rec.Prev = j.prev
-	h, err := recordHash(rec)
-	if err != nil {
+	if err := j.log.Append(rec); err != nil {
 		return err
 	}
-	rec.Hash = h
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("core: checkpoint append: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("core: checkpoint sync: %w", err)
-	}
-	j.prev = rec.Hash
 	if j.observer != nil {
 		j.observer(*rec)
 	}
@@ -229,25 +115,18 @@ func (j *Journal) append(rec *JournalRecord) error {
 
 // AppendIter records one completed find–verify iteration.
 func (j *Journal) AppendIter(iter int, v *attack.Vector, cost float64, reached bool) error {
-	return j.append(&JournalRecord{Kind: recIter, Iter: iter, Vector: v, Cost: cost, Reached: reached})
+	return j.append(&JournalRecord{Kind: RecIter, Iter: iter, Vector: v, Cost: cost, Reached: reached})
 }
 
 // AppendFinal records the definitive verdict (Found or Exhausted). Budget
 // and cancellation exits are deliberately not finalized, so a re-run with
 // larger budgets resumes instead of replaying a truncated verdict.
 func (j *Journal) AppendFinal(found, exhausted bool, v *attack.Vector, attackedCost float64) error {
-	return j.append(&JournalRecord{Kind: recFinal, Found: found, Exhausted: exhausted, Vector: v, AttackedCost: attackedCost})
+	return j.append(&JournalRecord{Kind: RecFinal, Found: found, Exhausted: exhausted, Vector: v, AttackedCost: attackedCost})
 }
 
 // Close closes the underlying file.
-func (j *Journal) Close() error {
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
-}
+func (j *Journal) Close() error { return j.log.Close() }
 
 // vectorsEqual compares two vectors through their canonical wire form.
 func vectorsEqual(a, b *attack.Vector) bool {

@@ -2,11 +2,12 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"gridattack/internal/attack"
@@ -182,64 +183,131 @@ func TestCheckpointCandidateMismatch(t *testing.T) {
 	a.CheckpointPath = cp
 	runAt(t, a, 1)
 
-	data, err := os.ReadFile(cp)
+	j, cfg, recs, err := OpenJournal(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []JournalRecord
-	for _, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
-		var rec JournalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, rec)
-	}
-	mutated := false
-	for i := range recs {
-		if recs[i].Kind == recIter && recs[i].Vector != nil && len(recs[i].Vector.ObservedLoads) > 0 {
-			recs[i].Vector.ObservedLoads[0] += 0.25
-			mutated = true
-			break
-		}
-	}
-	if !mutated {
-		t.Fatal("no iteration record with loads to mutate")
-	}
-	// Re-chain so the tampering is invisible to the integrity check and only
-	// the replay's candidate comparison can catch it.
-	var buf bytes.Buffer
-	prev := ""
-	for i := range recs {
-		recs[i].Prev = prev
-		recs[i].Hash = ""
-		h, err := recordHash(&recs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs[i].Hash = h
-		prev = h
-		line, err := json.Marshal(&recs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	if err := os.WriteFile(cp, buf.Bytes(), 0o644); err != nil {
+	j.Close()
+	// Rewrite the journal through the append path, so the tampering is
+	// invisible to the integrity check and only the replay's candidate
+	// comparison can catch it. The final record is dropped so the run
+	// replays instead of fast-pathing.
+	if j, err = CreateJournal(cp, *cfg); err != nil {
 		t.Fatal(err)
 	}
-
-	// Drop the final record so the run replays instead of fast-pathing.
-	n := len(recs)
-	if recs[n-1].Kind == recFinal {
-		trimmed := bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n"))
-		out := append(bytes.Join(trimmed[:n-1], []byte("\n")), '\n')
-		if err := os.WriteFile(cp, out, 0o644); err != nil {
+	mutated := false
+	for _, r := range recs {
+		if r.Kind != RecIter {
+			continue
+		}
+		if !mutated && r.Vector != nil && len(r.Vector.ObservedLoads) > 0 {
+			r.Vector.ObservedLoads[0] += 0.25
+			mutated = true
+		}
+		if err := j.AppendIter(r.Iter, r.Vector, r.Cost, r.Reached); err != nil {
 			t.Fatal(err)
 		}
+	}
+	j.Close()
+	if !mutated {
+		t.Fatal("no iteration record with loads to mutate")
 	}
 
 	if _, err := a.Run(); !errors.Is(err, ErrJournal) {
 		t.Fatalf("Run with rewritten candidate: err=%v, want ErrJournal", err)
+	}
+}
+
+// cs2Analyzer builds Case Study 2 (state infection) at a 5% target: seven
+// journaled iterations before the attack is found.
+func cs2Analyzer() Analyzer {
+	return Analyzer{
+		Grid: cases.Paper5Bus(),
+		Plan: cases.Paper5PlanCase2(),
+		Capability: attack.Capability{
+			MaxMeasurements:       12,
+			MaxBuses:              3,
+			States:                true,
+			RequireTopologyChange: true,
+		},
+		TargetIncreasePercent: 5,
+		OperatingDispatch:     cases.Paper5OperatingDispatch(),
+	}
+}
+
+// crashCuts lists, for every journal line, the byte offsets a crash can
+// leave it at: its start, one byte in, and one byte short of its newline.
+func crashCuts(data []byte) []int {
+	var cuts []int
+	for start := 0; start < len(data); {
+		end := start + bytes.IndexByte(data[start:], '\n') + 1
+		cuts = append(cuts, start, start+1, end-1)
+		start = end
+	}
+	return cuts
+}
+
+// requireResumedVerdict compares a resumed run against the uninterrupted
+// one, down to the bits of the attacked cost.
+func requireResumedVerdict(t *testing.T, what string, ref, got *Report) {
+	t.Helper()
+	if got.Found != ref.Found || got.Exhausted != ref.Exhausted || got.Iterations != ref.Iterations ||
+		math.Float64bits(got.AttackedCost) != math.Float64bits(ref.AttackedCost) || !reflect.DeepEqual(got.Vector, ref.Vector) {
+		t.Fatalf("%s: resumed found=%v exhausted=%v iterations=%d cost=%v, want %v/%v/%d/%v (or the vector differs)",
+			what, got.Found, got.Exhausted, got.Iterations, got.AttackedCost, ref.Found, ref.Exhausted, ref.Iterations, ref.AttackedCost)
+	}
+}
+
+// TestCheckpointCrashPoints resumes the analysis from every state a crash
+// can leave the journal in — each record cut at its start, one byte in, and
+// one byte short of its newline — and requires the uninterrupted verdict
+// and the uninterrupted journal bytes every time.
+func TestCheckpointCrashPoints(t *testing.T) {
+	dir := t.TempDir()
+	a := cs2Analyzer()
+	a.CheckpointPath = filepath.Join(dir, "ref.journal")
+	ref := runAt(t, a, 1)
+	full, err := os.ReadFile(a.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Iterations < 3 || !ref.Found {
+		t.Fatalf("reference run: %d iterations, found=%v; the enumerator needs >= 3 and a verdict", ref.Iterations, ref.Found)
+	}
+	for _, cut := range crashCuts(full) {
+		b := a
+		b.CheckpointPath = filepath.Join(dir, fmt.Sprintf("cut%d.journal", cut))
+		if err := os.WriteFile(b.CheckpointPath, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		requireResumedVerdict(t, fmt.Sprintf("cut at byte %d", cut), ref, runAt(t, b, 1))
+		if got, err := os.ReadFile(b.CheckpointPath); err != nil || !bytes.Equal(got, full) {
+			t.Fatalf("cut at byte %d: resumed journal differs from the uninterrupted one (err=%v)", cut, err)
+		}
+	}
+}
+
+// TestCheckpointNoHeaderStartsFresh: an empty checkpoint file and one torn
+// inside its header hold no journal, so the analysis starts fresh — on the
+// first run, not after a failed one.
+func TestCheckpointNoHeaderStartsFresh(t *testing.T) {
+	ref := runAt(t, cs1Analyzer(3), 1)
+	for name, content := range map[string]string{
+		"empty":       "",
+		"torn header": `{"kind":"header","vers`,
+	} {
+		a := cs1Analyzer(3)
+		a.CheckpointPath = filepath.Join(t.TempDir(), "cs1.journal")
+		if err := os.WriteFile(a.CheckpointPath, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := a.Run()
+		if err != nil {
+			t.Fatalf("%s: Run: %v", name, err)
+		}
+		requireResumedVerdict(t, name, ref, rep)
+		if rep.ResumedIterations != 0 {
+			t.Fatalf("%s: resumed %d iterations from no journal", name, rep.ResumedIterations)
+		}
 	}
 }

@@ -1,25 +1,16 @@
-// Loop journal: an append-only, fsync'd, hash-chained record of the
-// continuous-operation loop's progress (same integrity construction as the
-// core checkpoint journal). A supervisor killed mid-soak resumes from it
-// with the remaining cycles' verdict sequence identical to an uninterrupted
-// run: the journal carries the dispatch on the machines, the AGC set-point,
-// the degradation-ladder rung, the per-RTU health and breaker state, the
-// last-good telemetry, and the monitor's verdict cache.
-//
+// Loop journal: the continuous-operation loop's progress on the shared
+// durable log (internal/journal). A supervisor killed mid-soak resumes from
+// it with the remaining cycles' verdicts identical to an uninterrupted run.
 // State is delta-encoded: a cycle record carries a Disp/Tele/Fleet
 // sub-record only when that slice of state changed, so a healthy steady
-// state costs a few dozen bytes per cycle instead of re-serializing a
-// 118-bus fleet.
+// state costs a few dozen bytes per cycle.
 package fleet
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+
+	"gridattack/internal/journal"
 )
 
 // journalVersion identifies the loop-journal format; bump on layout changes.
@@ -30,7 +21,6 @@ var ErrJournal = errors.New("fleet: invalid loop journal")
 
 // Journal record kinds.
 const (
-	recHeader  = "header"
 	recCycle   = "cycle"
 	recMonitor = "monitor"
 )
@@ -96,13 +86,9 @@ type MonitorVerdict struct {
 	LineID        int     `json:"line_id,omitempty"`
 }
 
-// JournalRecord is one line of the loop journal.
+// JournalRecord is one line of the loop journal after the header.
 type JournalRecord struct {
 	Kind string `json:"kind"`
-
-	// Header fields.
-	Version int            `json:"version,omitempty"`
-	Config  *JournalConfig `json:"config,omitempty"`
 
 	// Cycle fields. Cycle is 1-based; Outcome is the CycleOutcome string;
 	// the state sub-records are present only when that state changed.
@@ -123,159 +109,51 @@ type JournalRecord struct {
 	Fingerprint string           `json:"fingerprint,omitempty"`
 	Verdicts    []MonitorVerdict `json:"verdicts,omitempty"`
 
-	// Hash chain: Prev is the predecessor's Hash ("" for the header); Hash
-	// is the hex SHA-256 of this record marshaled with Hash set to "".
-	Prev string `json:"prev"`
-	Hash string `json:"hash"`
-}
-
-// journalRecordHash computes the chain hash of rec (its Hash field is
-// ignored).
-func journalRecordHash(rec *JournalRecord) (string, error) {
-	clone := *rec
-	clone.Hash = ""
-	payload, err := json.Marshal(&clone)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(payload)
-	return hex.EncodeToString(sum[:]), nil
+	journal.Link
 }
 
 // Journal is an open loop journal positioned for appending.
-type Journal struct {
-	f    *os.File
-	path string
-	prev string
-}
+type Journal struct{ log *journal.Log }
 
 // CreateJournal starts a fresh loop journal at path (truncating any previous
 // content) and writes the fsync'd header record.
 func CreateJournal(path string, cfg JournalConfig) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	l, err := journal.Create(path, journalVersion, cfg)
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{f: f, path: path}
-	if err := j.append(&JournalRecord{Kind: recHeader, Version: journalVersion, Config: &cfg}); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
+	return &Journal{log: l}, nil
 }
 
-// OpenJournal reads an existing loop journal, verifies the hash chain,
-// truncates a torn unterminated final line, and returns the journal
-// positioned for appending together with its configuration and the records
-// after the header.
+// OpenJournal verifies a loop journal (see journal.Open) and returns it
+// with its configuration and the records after the header. Errors from an
+// invalid journal match ErrJournal.
 func OpenJournal(path string) (*Journal, *JournalConfig, []JournalRecord, error) {
-	data, err := os.ReadFile(path)
+	var cfg JournalConfig
+	l, recs, err := journal.Open[JournalRecord](path, journalVersion, &cfg)
+	if errors.Is(err, journal.ErrInvalid) {
+		err = fmt.Errorf("%w: %w", ErrJournal, err)
+	}
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	keep := len(data)
-	if keep > 0 && data[keep-1] != '\n' {
-		// Torn tail: the supervisor died inside a write. The unterminated
-		// record was never acted on (appends are fsync'd before the loop
-		// advances), so dropping it is safe.
-		if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
-			keep = i + 1
-		} else {
-			keep = 0
-		}
-		if err := os.Truncate(path, int64(keep)); err != nil {
-			return nil, nil, nil, err
-		}
-		data = data[:keep]
-	}
-	if keep == 0 {
-		return nil, nil, nil, fmt.Errorf("%w: %s holds no complete records", ErrJournal, path)
-	}
-
-	var cfg *JournalConfig
-	var recs []JournalRecord
-	prev := ""
-	for n, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
-		var rec JournalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: %s line %d: %v", ErrJournal, path, n+1, err)
-		}
-		want, err := journalRecordHash(&rec)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if rec.Hash != want {
-			return nil, nil, nil, fmt.Errorf("%w: %s line %d: hash mismatch (content altered)", ErrJournal, path, n+1)
-		}
-		if rec.Prev != prev {
-			return nil, nil, nil, fmt.Errorf("%w: %s line %d: broken hash chain (records altered or reordered)", ErrJournal, path, n+1)
-		}
-		prev = rec.Hash
-		if n == 0 {
-			if rec.Kind != recHeader || rec.Config == nil {
-				return nil, nil, nil, fmt.Errorf("%w: %s does not start with a header record", ErrJournal, path)
-			}
-			if rec.Version != journalVersion {
-				return nil, nil, nil, fmt.Errorf("%w: %s has format version %d, this build reads %d", ErrJournal, path, rec.Version, journalVersion)
-			}
-			cfg = rec.Config
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	if cfg == nil {
-		return nil, nil, nil, fmt.Errorf("%w: %s does not start with a header record", ErrJournal, path)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return &Journal{f: f, path: path, prev: prev}, cfg, recs, nil
-}
-
-// append chains, writes, and fsyncs one record.
-func (j *Journal) append(rec *JournalRecord) error {
-	rec.Prev = j.prev
-	h, err := journalRecordHash(rec)
-	if err != nil {
-		return err
-	}
-	rec.Hash = h
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("fleet: journal append: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("fleet: journal sync: %w", err)
-	}
-	j.prev = rec.Hash
-	return nil
+	return &Journal{log: l}, &cfg, recs, nil
 }
 
 // AppendCycle records one completed supervision cycle.
 func (j *Journal) AppendCycle(rec *JournalRecord) error {
 	rec.Kind = recCycle
-	return j.append(rec)
+	return j.log.Append(rec)
 }
 
 // AppendMonitor records the online monitor's verdicts for a topology
 // snapshot, making them replayable on resume (the warm-start cache).
 func (j *Journal) AppendMonitor(cycle int, fingerprint string, verdicts []MonitorVerdict) error {
-	return j.append(&JournalRecord{Kind: recMonitor, Cycle: cycle, Fingerprint: fingerprint, Verdicts: verdicts})
+	return j.log.Append(&JournalRecord{Kind: recMonitor, Cycle: cycle, Fingerprint: fingerprint, Verdicts: verdicts})
 }
 
 // Close closes the underlying file.
-func (j *Journal) Close() error {
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
-}
+func (j *Journal) Close() error { return j.log.Close() }
 
 // LoopState is the journal's records folded forward: everything a fresh
 // supervisor needs to continue the loop as if never interrupted.

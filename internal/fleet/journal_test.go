@@ -1,11 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gridattack/internal/journal"
 )
 
 func testJournalConfig() JournalConfig {
@@ -72,42 +75,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJournalTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "loop.journal")
-	j, err := CreateJournal(path, testJournalConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendCycle(&JournalRecord{Cycle: 1, Outcome: OutcomeClean}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	// Simulate dying mid-write: an unterminated garbage tail.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"kind":"cycle","cycle":2,"outcome":"clean`)
-	f.Close()
-
-	j2, _, recs, err := OpenJournal(path)
-	if err != nil {
-		t.Fatalf("OpenJournal with torn tail: %v", err)
-	}
-	defer j2.Close()
-	if len(recs) != 1 || recs[0].Cycle != 1 {
-		t.Fatalf("records after truncation: %+v", recs)
-	}
-	// Appending after truncation keeps the chain intact.
-	if err := j2.AppendCycle(&JournalRecord{Cycle: 2, Outcome: OutcomeHeld}); err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-	if _, _, recs, err = OpenJournal(path); err != nil || len(recs) != 2 {
-		t.Fatalf("reopen after repair: %v, %d recs", err, len(recs))
-	}
-}
-
+// TestJournalTamperDetected: a broken chain surfaces as this layer's
+// ErrJournal (the chain mechanics themselves are internal/journal's tests).
 func TestJournalTamperDetected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "loop.journal")
 	j, err := CreateJournal(path, testJournalConfig())
@@ -135,12 +104,62 @@ func TestJournalTamperDetected(t *testing.T) {
 	}
 }
 
+// TestJournalEmptyRejected: an empty file is no journal — an ErrJournal to
+// OpenJournal callers, and journal.ErrNoJournal so Resume can start fresh.
 func TestJournalEmptyRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.journal")
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := OpenJournal(path); !errors.Is(err, ErrJournal) {
-		t.Fatalf("empty journal: %v", err)
+	if _, _, _, err := OpenJournal(path); !errors.Is(err, ErrJournal) || !errors.Is(err, journal.ErrNoJournal) {
+		t.Fatalf("empty journal: %v, want ErrJournal and journal.ErrNoJournal", err)
+	}
+}
+
+// TestJournalGoldenFormat opens a loop journal written by an earlier build
+// (eight faulted cycles and a monitor verdict) and re-appends its records:
+// the on-disk format must reproduce the file byte for byte.
+func TestJournalGoldenFormat(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	src := filepath.Join(dir, "golden.journal")
+	if err := os.WriteFile(src, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, cfg, recs, err := OpenJournal(src)
+	if err != nil {
+		t.Fatalf("golden journal no longer opens: %v", err)
+	}
+	j.Close()
+
+	dst := filepath.Join(dir, "rewritten.journal")
+	w, err := CreateJournal(dst, *cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		r := &recs[i]
+		switch r.Kind {
+		case recCycle:
+			err = w.AppendCycle(r)
+		case recMonitor:
+			err = w.AppendMonitor(r.Cycle, r.Fingerprint, r.Verdicts)
+		default:
+			t.Fatalf("unexpected record kind %q", r.Kind)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	got, err := os.ReadFile(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("re-appended journal differs from the golden file:\n got %s\nwant %s", got, golden)
 	}
 }

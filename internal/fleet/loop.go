@@ -11,6 +11,7 @@ import (
 	"gridattack/internal/ems"
 	"gridattack/internal/faultinject"
 	"gridattack/internal/grid"
+	"gridattack/internal/journal"
 	"gridattack/internal/measure"
 	"gridattack/internal/opf"
 	"gridattack/internal/scada"
@@ -195,11 +196,9 @@ func New(cfg Config) (*Supervisor, error) {
 		return nil, err
 	}
 	if cfg.JournalPath != "" {
-		j, err := CreateJournal(cfg.JournalPath, s.journalConfig())
-		if err != nil {
+		if s.journal, err = CreateJournal(cfg.JournalPath, s.journalConfig()); err != nil {
 			return nil, err
 		}
-		s.journal = j
 	}
 	return s, nil
 }
@@ -298,16 +297,22 @@ func (s *Supervisor) journalConfig() JournalConfig {
 // continues as if never interrupted: dispatch, set-point, ladder rung,
 // bad-data streak, per-RTU health and breaker state, last-good telemetry,
 // and the monitor's verdict cache are all restored from the folded records.
+// A file without a complete header is no journal: Resume then starts fresh,
+// exactly like New.
 func Resume(cfg Config) (*Supervisor, error) {
 	if cfg.JournalPath == "" {
 		return nil, fmt.Errorf("fleet: Resume needs a JournalPath")
 	}
-	s, err := newCore(cfg)
+	j, jcfg, recs, err := OpenJournal(cfg.JournalPath)
+	if errors.Is(err, journal.ErrNoJournal) {
+		return New(cfg)
+	}
 	if err != nil {
 		return nil, err
 	}
-	j, jcfg, recs, err := OpenJournal(cfg.JournalPath)
+	s, err := newCore(cfg)
 	if err != nil {
+		j.Close()
 		return nil, err
 	}
 	want, err1 := json.Marshal(s.journalConfig())

@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -206,6 +209,64 @@ func TestKillAndResume(t *testing.T) {
 	st := FoldRecords(recs)
 	if !reflect.DeepEqual(st.Outcomes, repA.Outcomes) {
 		t.Fatalf("stitched outcome sequence diverges from uninterrupted run:\n%v\n%v", st.Outcomes, repA.Outcomes)
+	}
+}
+
+// TestCrashPointResume resumes the TestKillAndResume soak from every state a
+// crash can leave its journal in — each record cut at its start, one byte
+// in, and one byte short of its newline (every third record under -short).
+// Each resumed run must finish with the uninterrupted run's outcome
+// sequence, dispatch, set-point and health table.
+func TestCrashPointResume(t *testing.T) {
+	const spec = "bus2:drop@3..5;bus3:reset@14..16"
+	cfgA, _, _ := newHarness(t)
+	cfgA.Matrix = mustMatrix(t, spec)
+	cfgA.JournalPath = filepath.Join(t.TempDir(), "a.journal")
+	supA, repA := runSoak(t, cfgA, 30)
+	supA.Close()
+	full, err := os.ReadFile(cfgA.JournalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	every := 1
+	if testing.Short() {
+		every = 3
+	}
+	cfg, _, _ := newHarness(t)
+	cfg.Matrix = mustMatrix(t, spec)
+	cfg.JournalPath = filepath.Join(t.TempDir(), "cut.journal")
+	for n, start := 0, 0; start < len(full); n++ {
+		end := start + bytes.IndexByte(full[start:], '\n') + 1
+		if n%every == 0 {
+			for _, cut := range []int{start, start + 1, end - 1} {
+				if err := os.WriteFile(cfg.JournalPath, full[:cut], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				sup, err := Resume(cfg)
+				if err != nil {
+					t.Fatalf("cut at byte %d: Resume: %v", cut, err)
+				}
+				if _, err := sup.Run(context.Background(), 30-sup.Cycle()); err != nil {
+					t.Fatalf("cut at byte %d: Run: %v", cut, err)
+				}
+				sup.Close()
+				_, _, recs, err := OpenJournal(cfg.JournalPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := FoldRecords(recs).Outcomes; !reflect.DeepEqual(got, repA.Outcomes) {
+					t.Fatalf("cut at byte %d: outcomes diverge:\n%v\n%v", cut, got, repA.Outcomes)
+				}
+				what := fmt.Sprintf("cut at byte %d", cut)
+				assertFloatsEqual(t, what+": dispatch", sup.Dispatch(), supA.Dispatch())
+				assertFloatsEqual(t, what+": setpoint", sup.Setpoint(), supA.Setpoint())
+				if !reflect.DeepEqual(sup.Health().Snapshot(), supA.Health().Snapshot()) {
+					t.Fatalf("%s: health tables diverge:\n%+v\n%+v", what, sup.Health().Snapshot(), supA.Health().Snapshot())
+				}
+			}
+		}
+		start = end
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -311,8 +312,63 @@ func TestRecoverResumesUnreadableResult(t *testing.T) {
 	}
 }
 
+// TestRecoverCrashPoints restarts one finished durable job from every state
+// a crash can leave its files in: the result file missing, torn, or only an
+// orphan temp file, and the journal cut at each record boundary (every
+// other one under -short) with no result yet. Every restart must recover
+// the original verdict bytes.
+func TestRecoverCrashPoints(t *testing.T) {
+	req := JobRequest{Input: caseInputText(t, "synth30", 1, 3), Targets: []float64{1}}
+	parsed, ref, refDir := referenceRun(t, req)
+	read := func(suffix string) []byte {
+		data, err := os.ReadFile(filepath.Join(refDir, parsed.Key+suffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	journal, reqFile, result := read(".journal"), read(".req.json"), read(".result.json")
+
+	states := map[string]map[string][]byte{
+		"result missing":    {".journal": journal},
+		"result torn":       {".journal": journal, ".result.json": result[:len(result)/2]},
+		"orphan result tmp": {".journal": journal, ".result.json.tmp": result[:len(result)/2]},
+	}
+	every := 1
+	if testing.Short() {
+		every = 2
+	}
+	for n, cut := 0, 0; cut <= len(journal); n++ {
+		if n%every == 0 {
+			states[fmt.Sprintf("journal cut after %d records", n)] = map[string][]byte{".journal": journal[:cut]}
+		}
+		if cut == len(journal) {
+			break
+		}
+		cut += bytes.IndexByte(journal[cut:], '\n') + 1
+	}
+
+	for name, files := range states {
+		dir := t.TempDir()
+		files[".req.json"] = reqFile
+		for suffix, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, parsed.Key+suffix), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, _ := newTestServer(t, Config{JournalDir: dir, Workers: 1})
+		if _, resumed, err := s.Recover(); err != nil || resumed != 1 {
+			t.Fatalf("%s: Recover resumed=%d err=%v", name, resumed, err)
+		}
+		st := waitJobInProc(t, s, parsed.Key)
+		if st.State != JobDone || !bytes.Equal(st.Result.VerdictBytes(), ref.Result.VerdictBytes()) {
+			t.Fatalf("%s: recovered state %s (%s), verdict differs from the original solve", name, st.State, st.Error)
+		}
+	}
+}
+
 // TestRecoverRemovesOrphanTempFiles: temp files left by a crash between
-// writeFileAtomic's write and rename are deleted, while the durable
+// journal.WriteFileAtomic's write and rename are deleted, while the durable
 // artifacts next to them are still recovered.
 func TestRecoverRemovesOrphanTempFiles(t *testing.T) {
 	req := JobRequest{Input: caseInputText(t, "paper5", 2, 3)}

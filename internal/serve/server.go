@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gridattack/internal/core"
+	"gridattack/internal/journal"
 )
 
 // Config parameterizes a Server.
@@ -130,16 +131,6 @@ type storedRequest struct {
 	Request json.RawMessage `json:"request"`
 }
 
-// writeFileAtomic writes via a temp file + rename so a crash mid-write never
-// leaves a torn durable artifact.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // lookupJob returns the job addressed by id.
 func (s *Server) lookupJob(id string) (*Job, bool) {
 	s.mu.Lock()
@@ -208,7 +199,7 @@ func (s *Server) Submit(parsed *ParsedJob, tenant string, rawRequest []byte) (*J
 	if s.cfg.JournalDir != "" {
 		sr, err := json.Marshal(storedRequest{Tenant: tenant, Request: rawRequest})
 		if err == nil {
-			err = writeFileAtomic(s.reqPath(parsed.Key), sr)
+			err = journal.WriteFileAtomic(s.reqPath(parsed.Key), sr)
 		}
 		if err != nil {
 			s.cfg.Logf("serve: persist request %s: %v", parsed.Key, err)
@@ -228,9 +219,9 @@ func (s *Server) Submit(parsed *ParsedJob, tenant string, rawRequest []byte) (*J
 // (bit-identically, finalized journals re-solving nothing), while ladder
 // jobs restart from scratch. A request whose result file exists but cannot
 // be reloaded (torn, corrupt, or not definitive) is resumed like one with no
-// result at all. Orphan temp files from a crash inside writeFileAtomic are
-// deleted. Call it before the server takes submissions. Returns (results
-// reloaded, jobs resumed).
+// result at all. Orphan temp files from a crash inside
+// journal.WriteFileAtomic are deleted. Call it before the server takes
+// submissions. Returns (results reloaded, jobs resumed).
 func (s *Server) Recover() (reloaded, resumed int, err error) {
 	if s.cfg.JournalDir == "" {
 		return 0, 0, nil
@@ -352,7 +343,7 @@ func (s *Server) runJob(job *Job) {
 		s.cache.Put(job.ID, res)
 		if s.cfg.JournalDir != "" {
 			if data, merr := json.Marshal(res); merr == nil {
-				if werr := writeFileAtomic(s.resultPath(job.ID), data); werr != nil {
+				if werr := journal.WriteFileAtomic(s.resultPath(job.ID), data); werr != nil {
 					s.cfg.Logf("serve: persist result %s: %v", job.ID, werr)
 				}
 			}
