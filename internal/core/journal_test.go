@@ -70,6 +70,50 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalTornTailTruncated simulates a crash inside an append: the
+// unterminated tail must be dropped, everything before it kept.
+func TestJournalTornTailTruncated(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.journal")
+	j, err := CreateJournal(path, JournalConfig{Buses: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendIter(1, testVector(), 10, false); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"kind":"iter","iter":2,"cos`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	j2, _, recs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatalf("OpenJournal with torn tail: %v", err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("got %d records after torn-tail truncation, want 1", len(recs))
+	}
+	// The journal must be appendable after truncation, and the result must
+	// re-open cleanly.
+	if err := j2.AppendIter(2, testVector(), 11, true); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	j3, _, recs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatalf("re-open after post-truncation append: %v", err)
+	}
+	j3.Close()
+	if len(recs) != 2 {
+		t.Fatalf("got %d records, want 2", len(recs))
+	}
+}
+
 // TestJournalRejectsTampering: a broken chain surfaces as this layer's
 // ErrJournal (the chain mechanics themselves are internal/journal's tests).
 func TestJournalRejectsTampering(t *testing.T) {

@@ -75,6 +75,42 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+func TestJournalTornTailTruncated(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "loop.journal")
+	j, err := CreateJournal(path, testJournalConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendCycle(&JournalRecord{Cycle: 1, Outcome: OutcomeClean}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	// Simulate dying mid-write: an unterminated garbage tail.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"kind":"cycle","cycle":2,"outcome":"clean`)
+	f.Close()
+
+	j2, _, recs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatalf("OpenJournal with torn tail: %v", err)
+	}
+	defer j2.Close()
+	if len(recs) != 1 || recs[0].Cycle != 1 {
+		t.Fatalf("records after truncation: %+v", recs)
+	}
+	// Appending after truncation keeps the chain intact.
+	if err := j2.AppendCycle(&JournalRecord{Cycle: 2, Outcome: OutcomeHeld}); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	if _, _, recs, err = OpenJournal(path); err != nil || len(recs) != 2 {
+		t.Fatalf("reopen after repair: %v, %d recs", err, len(recs))
+	}
+}
+
 // TestJournalTamperDetected: a broken chain surfaces as this layer's
 // ErrJournal (the chain mechanics themselves are internal/journal's tests).
 func TestJournalTamperDetected(t *testing.T) {
