@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -294,11 +295,10 @@ func (a *Analyzer) Run() (*Report, error) {
 			defer jr.Close()
 		}
 		if !done && len(recs) > 0 {
-			var rewarm func(*attack.Vector) error
+			var rewarm func(*attack.Vector) (float64, bool, error)
 			if ws != nil {
-				rewarm = func(v *attack.Vector) error {
-					_, _, err := a.verify(context.Background(), v, fac, ws, pre, threshold, 1, acc)
-					return err
+				rewarm = func(v *attack.Vector) (float64, bool, error) {
+					return a.verify(context.Background(), v, fac, ws, pre, threshold, 1, acc)
 				}
 			}
 			done, err = a.replayCheckpoint(rep, model, jr, recs, maxIter, rewarm)
@@ -468,13 +468,13 @@ func (a *Analyzer) openCheckpoint(cfg JournalConfig, rep *Report) (*Journal, []J
 // are recomputed — the solver's learned clauses and heuristic state are what
 // make the candidate sequence deterministic, so that state must be rebuilt —
 // but the journaled verification verdicts are reused. rewarm, when set,
-// re-runs a verification for its side effect: warm LP solves depend on the
-// previous same-topology solve, so skipping them drifts later verdicts by
-// an ulp. Each regenerated
-// candidate must match the journal exactly; a mismatch means the journal
-// belongs to a different problem. Returns done=true when the replay reached
-// a definitive verdict.
-func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journal, recs []JournalRecord, maxIter int, rewarm func(*attack.Vector) error) (bool, error) {
+// re-runs a verification: warm LP solves depend on the previous
+// same-topology solve, so skipping them drifts later verdicts by an ulp.
+// Its cost and reached flag must then equal the journaled ones bit for bit.
+// Each regenerated candidate must match the journal exactly; a mismatch
+// means the journal belongs to a different problem. Returns done=true when
+// the replay reached a definitive verdict.
+func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journal, recs []JournalRecord, maxIter int, rewarm func(*attack.Vector) (float64, bool, error)) (bool, error) {
 	for _, rec := range recs {
 		if rec.Kind != RecIter {
 			return true, fmt.Errorf("%w: unexpected %q record during replay", ErrJournal, rec.Kind)
@@ -495,6 +495,15 @@ func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journa
 		if v == nil || !vectorsEqual(v, rec.Vector) {
 			return true, fmt.Errorf("%w: iteration %d regenerated a different candidate than the journal records (was the input changed?)", ErrJournal, rec.Iter)
 		}
+		if rewarm != nil {
+			cost, reached, err := rewarm(v)
+			if err != nil {
+				return true, err
+			}
+			if math.Float64bits(cost) != math.Float64bits(rec.Cost) || reached != rec.Reached {
+				return true, fmt.Errorf("%w: iteration %d re-verified to cost %v reached=%t, the journal records %v reached=%t", ErrJournal, rec.Iter, cost, reached, rec.Cost, rec.Reached)
+			}
+		}
 		rep.Iterations++
 		rep.ResumedIterations++
 		if rec.Reached {
@@ -502,11 +511,6 @@ func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journa
 			rep.Vector = v
 			rep.AttackedCost = rec.Cost
 			return true, jr.AppendFinal(true, false, v, rec.Cost)
-		}
-		if rewarm != nil {
-			if err := rewarm(v); err != nil {
-				return true, err
-			}
 		}
 		model.Block(v, a.BlockPrecision)
 	}

@@ -6,8 +6,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
 
 	"gridattack/internal/attack"
 	"gridattack/internal/journal"
@@ -17,7 +15,9 @@ import (
 const journalVersion = 1
 
 // ErrJournal reports a corrupt, mismatched, or unreadable checkpoint journal.
-var ErrJournal = errors.New("core: invalid checkpoint journal")
+// It is the shared log's journal.ErrInvalid, so every integrity failure the
+// log reports matches it too.
+var ErrJournal = journal.ErrInvalid
 
 // Journal record kinds. The exported names let journal consumers (the serve
 // layer streams records as server-sent events) switch on JournalRecord.Kind
@@ -93,9 +93,6 @@ func CreateJournal(path string, cfg JournalConfig) (*Journal, error) {
 func OpenJournal(path string) (*Journal, *JournalConfig, []JournalRecord, error) {
 	var cfg JournalConfig
 	l, recs, err := journal.Open[JournalRecord](path, journalVersion, &cfg)
-	if errors.Is(err, journal.ErrInvalid) {
-		err = fmt.Errorf("%w: %w", ErrJournal, err)
-	}
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -174,47 +174,62 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointCandidateMismatch rewrites a journaled candidate (re-chaining
-// the hashes so the file itself verifies) and requires the replay to detect
-// that the regenerated candidate differs from the record.
+// TestCheckpointCandidateMismatch rewrites one journaled iteration
+// (re-chaining the hashes so the file itself verifies) and requires the
+// replay to detect it: a changed candidate differs from the regenerated one,
+// a cost one ulp off from the LP re-verification of the candidate.
 func TestCheckpointCandidateMismatch(t *testing.T) {
-	cp := filepath.Join(t.TempDir(), "cs1.journal")
-	a := cs1Analyzer(3)
-	a.CheckpointPath = cp
-	runAt(t, a, 1)
-
-	j, cfg, recs, err := OpenJournal(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	// Rewrite the journal through the append path, so the tampering is
-	// invisible to the integrity check and only the replay's candidate
-	// comparison can catch it. The final record is dropped so the run
-	// replays instead of fast-pathing.
-	if j, err = CreateJournal(cp, *cfg); err != nil {
-		t.Fatal(err)
-	}
-	mutated := false
-	for _, r := range recs {
-		if r.Kind != RecIter {
-			continue
-		}
-		if !mutated && r.Vector != nil && len(r.Vector.ObservedLoads) > 0 {
+	mutations := map[string]func(*JournalRecord) bool{
+		"candidate": func(r *JournalRecord) bool {
+			if r.Vector == nil || len(r.Vector.ObservedLoads) == 0 {
+				return false
+			}
 			r.Vector.ObservedLoads[0] += 0.25
-			mutated = true
-		}
-		if err := j.AppendIter(r.Iter, r.Vector, r.Cost, r.Reached); err != nil {
+			return true
+		},
+		"cost": func(r *JournalRecord) bool {
+			r.Cost = math.Nextafter(r.Cost, math.Inf(1))
+			return true
+		},
+	}
+	for name, mutate := range mutations {
+		cp := filepath.Join(t.TempDir(), "cs1.journal")
+		a := cs1Analyzer(3)
+		a.CheckpointPath = cp
+		runAt(t, a, 1)
+
+		j, cfg, recs, err := OpenJournal(cp)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	j.Close()
-	if !mutated {
-		t.Fatal("no iteration record with loads to mutate")
-	}
+		j.Close()
+		// Rewrite the journal through the append path, so the tampering is
+		// invisible to the integrity check and only the replay can catch it.
+		// The final record is dropped so the run replays instead of
+		// fast-pathing.
+		if j, err = CreateJournal(cp, *cfg); err != nil {
+			t.Fatal(err)
+		}
+		mutated := false
+		for _, r := range recs {
+			if r.Kind != RecIter {
+				continue
+			}
+			if !mutated {
+				mutated = mutate(&r)
+			}
+			if err := j.AppendIter(r.Iter, r.Vector, r.Cost, r.Reached); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Close()
+		if !mutated {
+			t.Fatalf("%s: no iteration record to mutate", name)
+		}
 
-	if _, err := a.Run(); !errors.Is(err, ErrJournal) {
-		t.Fatalf("Run with rewritten candidate: err=%v, want ErrJournal", err)
+		if _, err := a.Run(); !errors.Is(err, ErrJournal) {
+			t.Fatalf("%s: Run with rewritten record: err=%v, want ErrJournal", name, err)
+		}
 	}
 }
 

@@ -6,18 +6,14 @@
 // state costs a few dozen bytes per cycle.
 package fleet
 
-import (
-	"errors"
-	"fmt"
-
-	"gridattack/internal/journal"
-)
+import "gridattack/internal/journal"
 
 // journalVersion identifies the loop-journal format; bump on layout changes.
 const journalVersion = 1
 
-// ErrJournal reports a corrupt, mismatched, or unreadable loop journal.
-var ErrJournal = errors.New("fleet: invalid loop journal")
+// ErrJournal reports a corrupt, mismatched, or unreadable loop journal. It
+// is the shared log's journal.ErrInvalid.
+var ErrJournal = journal.ErrInvalid
 
 // Journal record kinds.
 const (
@@ -131,9 +127,6 @@ func CreateJournal(path string, cfg JournalConfig) (*Journal, error) {
 func OpenJournal(path string) (*Journal, *JournalConfig, []JournalRecord, error) {
 	var cfg JournalConfig
 	l, recs, err := journal.Open[JournalRecord](path, journalVersion, &cfg)
-	if errors.Is(err, journal.ErrInvalid) {
-		err = fmt.Errorf("%w: %w", ErrJournal, err)
-	}
 	if err != nil {
 		return nil, nil, nil, err
 	}

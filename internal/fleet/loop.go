@@ -196,9 +196,11 @@ func New(cfg Config) (*Supervisor, error) {
 		return nil, err
 	}
 	if cfg.JournalPath != "" {
-		if s.journal, err = CreateJournal(cfg.JournalPath, s.journalConfig()); err != nil {
+		j, err := CreateJournal(cfg.JournalPath, s.journalConfig())
+		if err != nil {
 			return nil, err
 		}
+		s.journal = j
 	}
 	return s, nil
 }

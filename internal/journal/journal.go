@@ -44,12 +44,6 @@ func (l *Link) link() *Link { return l }
 // Record is a pointer to a struct whose last field is an embedded Link.
 type Record interface{ link() *Link }
 
-// recordPtr lets Open decode R values and still reach their Link.
-type recordPtr[R any] interface {
-	*R
-	Record
-}
-
 type header struct {
 	Kind    string          `json:"kind"`
 	Version int             `json:"version"`
@@ -91,7 +85,7 @@ func Create(path string, version int, config any) (*Log, error) {
 // record decoded as an R. A torn unterminated last line is truncated away.
 // A file without a complete header line yields ErrNoJournal; any other
 // integrity violation, or a header of another format version, ErrInvalid.
-func Open[R any, P recordPtr[R]](path string, version int, config any) (_ *Log, _ []R, err error) {
+func Open[R any](path string, version int, config any) (_ *Log, _ []R, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil, fmt.Errorf("%w: %w", ErrNoJournal, err)
@@ -117,12 +111,12 @@ func Open[R any, P recordPtr[R]](path string, version int, config any) (_ *Log, 
 	recs := make([]R, len(lines)-1)
 	prev := ""
 	for i, line := range lines {
-		target, lk := any(&h), &h.Link
+		target := any(&h)
 		if i > 0 {
-			target, lk = &recs[i-1], P(&recs[i-1]).link()
+			target = &recs[i-1]
 		}
-		if err = json.Unmarshal(line, target); err == nil {
-			prev, err = verify(line, lk, prev)
+		if prev, err = verify(line, prev); err == nil {
+			err = json.Unmarshal(line, target)
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: %s line %d: %v", ErrInvalid, path, i+1, err)
@@ -145,16 +139,18 @@ func Open[R any, P recordPtr[R]](path string, version int, config any) (_ *Log, 
 	return &Log{f: f, prev: prev}, recs, nil
 }
 
-// verify checks one line against the chain and returns its hash.
-func verify(line []byte, lk *Link, prev string) (string, error) {
-	body, ok := bytes.CutSuffix(line, []byte(lk.Hash+`"}`))
-	if !ok || !bytes.HasSuffix(body, []byte(`"hash":"`)) || lk.Hash != sum(body) {
+// verify checks that line ends with its Link,
+// `"prev":"<prev>","hash":"<hash>"}`, where hash is the hex SHA-256 of the
+// line with the hash value emptied, and returns the hash.
+func verify(line []byte, prev string) (string, error) {
+	n := len(line) - len(`"}`) - 2*sha256.Size
+	if n < 0 || !bytes.HasSuffix(line, []byte(`"}`)) || string(line[n:len(line)-2]) != sum(line[:n]) {
 		return "", errors.New("hash mismatch (content altered)")
 	}
-	if lk.Prev != prev {
+	if !bytes.HasSuffix(line[:n], []byte(`"prev":"`+prev+`","hash":"`)) {
 		return "", errors.New("broken hash chain (records altered or reordered)")
 	}
-	return lk.Hash, nil
+	return string(line[n : len(line)-2]), nil
 }
 
 // sum hashes a line whose hash value is emptied, given its bytes up to and
