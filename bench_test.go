@@ -418,6 +418,35 @@ func BenchmarkAnalyzerParallel(b *testing.B) {
 
 // --- Substrate micro-benchmarks ---
 
+// BenchmarkOPFSolve measures one cold angle-formulation OPF solve on each
+// system's true topology: the LP behind every analysis's attack-free
+// baseline and the fleet's memo-miss re-dispatch. pivots/op counts the
+// simplex basis changes, read from a first solve through a fresh
+// WarmSolver, which runs the same two-phase simplex.
+func BenchmarkOPFSolve(b *testing.B) {
+	for _, name := range allSystems {
+		b.Run(name, func(b *testing.B) {
+			c, err := gridattack.CaseByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, topo := c.Grid, c.Grid.TrueTopology()
+			ws := opf.NewWarmSolver(g)
+			if _, err := ws.SolveTopology(topo, nil); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := opf.Solve(g, topo, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(ws.Stats().Pivots), "pivots/op")
+		})
+	}
+}
+
 // BenchmarkPowerFlow118 measures a DC power-flow solve on the largest
 // system.
 func BenchmarkPowerFlow118(b *testing.B) {

@@ -26,14 +26,6 @@ type Pipeline struct {
 	Plan *measure.Plan
 	// ResidualThreshold configures bad-data detection (0: chi-square test).
 	ResidualThreshold float64
-	// Warm, when non-nil, routes OPF solves through a warm-started solver
-	// that caches one simplex basis per topology, so repeated re-dispatch on
-	// a stable topology costs a handful of pivots. Warm re-solves reach the
-	// same optimal basis as a cold solve, but the maintained tableau can
-	// differ from a fresh elimination at the last ulp — callers that need
-	// bit-reproducible dispatches across process restarts (the fleet
-	// supervisor) must leave Warm nil.
-	Warm *opf.WarmSolver
 	// Memo, when non-nil, short-circuits OPF solves whose (topology, loads)
 	// bits were seen before, returning a copy of the previously computed
 	// solution. Safe wherever the cold path is: a hit is bit-identical to
@@ -42,7 +34,7 @@ type Pipeline struct {
 	Memo *OPFMemo
 }
 
-// solveOPF dispatches through the memo and/or warm solver when configured.
+// solveOPF dispatches through the memo when configured.
 func (p *Pipeline) solveOPF(t grid.Topology, loads []float64) (*opf.Solution, error) {
 	var key string
 	if p.Memo != nil {
@@ -51,13 +43,7 @@ func (p *Pipeline) solveOPF(t grid.Topology, loads []float64) (*opf.Solution, er
 			return sol, nil
 		}
 	}
-	var sol *opf.Solution
-	var err error
-	if p.Warm != nil {
-		sol, err = p.Warm.SolveTopology(t, loads)
-	} else {
-		sol, err = opf.Solve(p.Grid, t, loads)
-	}
+	sol, err := opf.Solve(p.Grid, t, loads)
 	if err == nil && p.Memo != nil {
 		p.Memo.put(key, sol)
 	}

@@ -9,6 +9,27 @@
 // generation dispatches. Problem sizes in this repository are small (a few
 // hundred variables and rows for the 118-bus system), so a dense tableau with
 // Bland's anti-cycling fallback is simple, robust, and fast enough.
+//
+// The tableau is stored dense but is mostly zeros: a 118-bus OPF pivot row
+// averages about a third nonzero. The kernel skips the work that cannot
+// change a value:
+//
+//   - the sparse-row pivot collects the scaled pivot row's nonzero columns
+//     once and eliminates only those, in only the rows whose pivot-column
+//     entry is nonzero;
+//   - pricing computes reduced costs only for the candidate columns that
+//     can enter (nonbasic and not fixed, free ones included), each with the
+//     same expression and row order as a full pricing, and the entering
+//     rule walks them in ascending column order, so Dantzig's and Bland's
+//     rules pick what a full scan would.
+//
+// Bit-identity contract: every status, pivot count, objective and nonzero
+// solution value is the IEEE-754 result of the full dense kernel. A skipped
+// update is x - f*0, which is x itself, except that a zero x may come out
+// with the other sign; a zero's sign reaches only tolerance comparisons and
+// other zeros, never a nonzero value or a pivot choice. The golden test in
+// internal/opf pins the result bits, zero signs included, on a fixed corpus
+// of OPF solves.
 package lp
 
 import (
@@ -102,9 +123,6 @@ func (p *Problem) AddVariable(lo, hi, cost float64, name string) int {
 
 // NumVariables returns the number of variables added so far.
 func (p *Problem) NumVariables() int { return len(p.lower) }
-
-// NumConstraints returns the number of constraint rows added so far.
-func (p *Problem) NumConstraints() int { return len(p.cons) }
 
 // AddConstraint adds the row sum(terms) sense rhs. Terms referencing unknown
 // variables cause an error at Solve time.

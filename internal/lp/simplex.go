@@ -34,6 +34,12 @@ type tableau struct {
 	upper  []float64
 	nonbas []float64 // current value of each variable when nonbasic
 	pivots int       // basis changes performed (diagnostic counter)
+
+	// Scratch sized once per tableau: the columns that may enter and their
+	// reduced costs (reducedCosts), and the pivot row's nonzeros (pivot).
+	cand []int
+	d    []float64
+	nz   []int
 }
 
 // Solve runs two-phase simplex and returns the solution.
@@ -80,6 +86,9 @@ func (p *Problem) solveCold(wantWarm bool) (*Solution, *Warm, error) {
 		lower:  make([]float64, n),
 		upper:  make([]float64, n),
 		nonbas: make([]float64, n),
+		cand:   make([]int, 0, n),
+		d:      make([]float64, n),
+		nz:     make([]int, 0, n),
 	}
 	for i := range t.a {
 		t.a[i] = make([]float64, n)
@@ -247,21 +256,33 @@ func (t *tableau) objective(cost []float64) float64 {
 	return s
 }
 
-// reducedCosts computes d_j = c_j - c_B' * (B^-1 A)_j for all columns.
-func (t *tableau) reducedCosts(cost []float64) []float64 {
-	d := make([]float64, t.n)
-	copy(d, cost)
+// reducedCosts computes d_j = c_j - c_B' * (B^-1 A)_j for the columns that
+// can enter the basis: nonbasic and not fixed (free columns included). It
+// returns those columns in ascending order with d[k] belonging to cand[k];
+// each d[k] sees the same operations in the same order as a full pricing.
+func (t *tableau) reducedCosts(cost []float64) (cand []int, d []float64) {
+	cand = t.cand[:0]
+	for j, s := range t.status {
+		if s != statusBasic && t.lower[j] < t.upper[j] {
+			cand = append(cand, j)
+		}
+	}
+	t.cand = cand
+	d = t.d[:len(cand)]
+	for k, j := range cand {
+		d[k] = cost[j]
+	}
 	for i, b := range t.basis {
 		cb := cost[b]
 		if cb == 0 {
 			continue
 		}
 		row := t.a[i]
-		for j := 0; j < t.n; j++ {
-			d[j] -= cb * row[j]
+		for k, j := range cand {
+			d[k] -= cb * row[j]
 		}
 	}
-	return d
+	return cand, d
 }
 
 // iterate runs simplex iterations for the given cost vector until optimality
@@ -273,30 +294,28 @@ func (t *tableau) iterate(cost []float64) (Status, error) {
 			return 0, fmt.Errorf("lp: iteration limit exceeded (%d iterations, %d rows, %d cols)", iter, t.m, t.n)
 		}
 		bland := iter > blandAfter
-		d := t.reducedCosts(cost)
+		cand, d := t.reducedCosts(cost)
 
-		// Entering variable selection.
+		// Entering variable selection, in ascending column order.
 		enter, dir := -1, 0.0
 		bestScore := costTol
-		for j := 0; j < t.n; j++ {
+		for k, j := range cand {
 			var improving bool
 			var dj float64
 			switch t.status[j] {
 			case statusAtLower:
-				improving = d[j] < -costTol && t.lower[j] < t.upper[j]
+				improving = d[k] < -costTol
 				dj = 1
 			case statusAtUpper:
-				improving = d[j] > costTol && t.lower[j] < t.upper[j]
+				improving = d[k] > costTol
 				dj = -1
-			case statusFree:
-				improving = math.Abs(d[j]) > costTol
-				if d[j] > 0 {
+			default: // statusFree
+				improving = math.Abs(d[k]) > costTol
+				if d[k] > 0 {
 					dj = -1
 				} else {
 					dj = 1
 				}
-			default:
-				continue
 			}
 			if !improving {
 				continue
@@ -305,7 +324,7 @@ func (t *tableau) iterate(cost []float64) (Status, error) {
 				enter, dir = j, dj
 				break
 			}
-			if score := math.Abs(d[j]); score > bestScore {
+			if score := math.Abs(d[k]); score > bestScore {
 				bestScore = score
 				enter, dir = j, dj
 			}
@@ -395,25 +414,28 @@ func (t *tableau) iterate(cost []float64) (Status, error) {
 }
 
 // pivot performs Gauss-Jordan elimination so column `col` becomes the unit
-// vector for row `row`.
+// vector for row `row`. It updates only the scaled pivot row's nonzero
+// columns, in only the rows whose col entry is nonzero: the skipped
+// ri[j] -= f*0 could at most change the sign of a zero ri[j].
 func (t *tableau) pivot(row, col int) {
 	pr := t.a[row]
-	pv := pr[col]
-	inv := 1 / pv
-	for j := 0; j < t.n; j++ {
-		pr[j] *= inv
+	inv := 1 / pr[col]
+	nz := t.nz[:0]
+	for j, v := range pr {
+		v *= inv
+		pr[j] = v
+		if v != 0 {
+			nz = append(nz, j)
+		}
 	}
+	t.nz = nz
 	pr[col] = 1 // avoid round-off drift on the pivot element
-	for i := 0; i < t.m; i++ {
-		if i == row {
+	for i, ri := range t.a {
+		f := ri[col]
+		if i == row || f == 0 {
 			continue
 		}
-		f := t.a[i][col]
-		if f == 0 {
-			continue
-		}
-		ri := t.a[i]
-		for j := 0; j < t.n; j++ {
+		for _, j := range nz {
 			ri[j] -= f * pr[j]
 		}
 		ri[col] = 0

@@ -148,6 +148,47 @@ func TestDegenerateLP(t *testing.T) {
 	}
 }
 
+// kleeMinty builds the Klee-Minty cube of dimension n:
+//
+//	min -sum_j 2^(n-1-j) x_j
+//	s.t. sum_{j<i} 2^(i-j+1) x_j + x_i <= 5^(i+1)   for i = 0..n-1, x >= 0
+//
+// Dantzig's rule needs exponentially many pivots on it; the optimum is
+// x_{n-1} = 5^n.
+func kleeMinty(n int) *Problem {
+	p := NewProblem()
+	for j := 0; j < n; j++ {
+		p.AddVariable(0, inf(), -math.Ldexp(1, n-1-j), "x")
+	}
+	for i := 0; i < n; i++ {
+		terms := []Term{{i, 1}}
+		for j := 0; j < i; j++ {
+			terms = append(terms, Term{j, math.Ldexp(1, i-j+1)})
+		}
+		p.AddConstraint(terms, LE, math.Pow(5, float64(i+1)))
+	}
+	return p
+}
+
+// TestKleeMintyBland: the 12-dimensional Klee-Minty cube outlasts
+// blandAfter Dantzig iterations, so the solve must finish under Bland's rule
+// at the true optimum.
+func TestKleeMintyBland(t *testing.T) {
+	sol, err := kleeMinty(12).Solve()
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	if sol.Status != Optimal {
+		t.Fatalf("status = %v, want optimal", sol.Status)
+	}
+	if want := -math.Pow(5, 12); sol.Objective != want {
+		t.Errorf("objective = %v, want %v", sol.Objective, want)
+	}
+	if sol.Pivots <= blandAfter {
+		t.Errorf("pivots = %d, want > %d so Bland's rule is reached", sol.Pivots, blandAfter)
+	}
+}
+
 func TestUnknownVariableInConstraint(t *testing.T) {
 	p := NewProblem()
 	p.AddVariable(0, 1, 1, "x")
