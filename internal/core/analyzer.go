@@ -111,12 +111,6 @@ type Analyzer struct {
 	// process-wide with the GRIDATTACK_CERTIFY environment variable.
 	Certify bool
 
-	// NoPrescreen disables the LODF-based candidate prescreen (see
-	// prescreen.go). The prescreen only skips verifications whose failure it
-	// can certify with a concrete cheap dispatch, so verdicts are identical
-	// either way; the knob exists for A/B validation and benchmarking.
-	NoPrescreen bool
-
 	// NoIncremental forces the cold (assertion-based) SMT encoding path:
 	// under VerifySMT every verification model asserts its cost caps
 	// permanently instead of passing them as retractable assumptions, and
@@ -185,13 +179,13 @@ type Report struct {
 	VerifyTime       time.Duration // cumulative OPF verification time
 	Elapsed          time.Duration
 
-	// PrescreenPruned counts candidate verifications skipped by the LODF
-	// prescreen (0 when it is disabled or never certified a failure).
+	// PrescreenPruned is always 0: no candidate skips verification. Read
+	// only by bench/gridbench.
 	PrescreenPruned int
 
-	// LPStats summarizes the warm-started LP work under VerifyLP: total
-	// solves, how many re-used a cached optimal basis, and simplex pivots.
-	LPStats opf.WarmStats
+	// LPStats is always zero: every LP verification is one cold solve.
+	// Read only by bench/gridbench.
+	LPStats struct{ Solves, WarmHits int }
 
 	// SolverStats aggregates SMT effort counters across the analysis: the
 	// attack model's solver lineage (clones inherit their parent's counters,
@@ -249,15 +243,6 @@ func (a *Analyzer) Run() (*Report, error) {
 		}
 	}
 
-	var pre *prescreener
-	if !a.NoPrescreen {
-		pre = newPrescreener(a.Grid, fac, threshold, base)
-	}
-	var ws *opf.WarmSolver
-	if a.Verify == 0 || a.Verify == VerifyLP {
-		ws = opf.NewWarmSolver(a.Grid)
-	}
-
 	par := a.Parallelism
 	if par == 0 {
 		par = runtime.GOMAXPROCS(0)
@@ -265,14 +250,6 @@ func (a *Analyzer) Run() (*Report, error) {
 
 	rep := &Report{BaselineCost: base.Cost, Threshold: threshold}
 	acc := &statsAcc{}
-	defer func() {
-		if pre != nil {
-			rep.PrescreenPruned = int(pre.pruned.Load())
-		}
-		if ws != nil {
-			rep.LPStats = ws.Stats()
-		}
-	}()
 
 	var jr *Journal
 	if a.CheckpointPath != "" {
@@ -295,13 +272,13 @@ func (a *Analyzer) Run() (*Report, error) {
 			defer jr.Close()
 		}
 		if !done && len(recs) > 0 {
-			var rewarm func(*attack.Vector) (float64, bool, error)
-			if ws != nil {
-				rewarm = func(v *attack.Vector) (float64, bool, error) {
-					return a.verify(context.Background(), v, fac, ws, pre, threshold, 1, acc)
+			var reverify func(*attack.Vector) (float64, bool, error)
+			if a.Verify == 0 || a.Verify == VerifyLP {
+				reverify = func(v *attack.Vector) (float64, bool, error) {
+					return a.verify(context.Background(), v, fac, threshold, 1, acc)
 				}
 			}
-			done, err = a.replayCheckpoint(rep, model, jr, recs, maxIter, rewarm)
+			done, err = a.replayCheckpoint(rep, model, jr, recs, maxIter, reverify)
 			if err != nil {
 				return nil, err
 			}
@@ -316,7 +293,7 @@ func (a *Analyzer) Run() (*Report, error) {
 
 	if par > 1 {
 		if rep.Iterations < maxIter {
-			if err := a.runPipelined(rep, model, fac, ws, pre, threshold, maxIter, par, jr, acc); err != nil {
+			if err := a.runPipelined(rep, model, fac, threshold, maxIter, par, jr, acc); err != nil {
 				return nil, err
 			}
 		} else {
@@ -350,7 +327,7 @@ func (a *Analyzer) Run() (*Report, error) {
 		rep.Iterations++
 
 		t1 := time.Now()
-		cost, reached, err := a.verify(context.Background(), v, fac, ws, pre, threshold, 1, acc)
+		cost, reached, err := a.verify(context.Background(), v, fac, threshold, 1, acc)
 		rep.VerifyTime += time.Since(t1)
 		if errors.Is(err, smt.ErrCanceled) {
 			rep.Canceled = true
@@ -467,14 +444,13 @@ func (a *Analyzer) openCheckpoint(cfg JournalConfig, rep *Report) (*Journal, []J
 // replayCheckpoint re-runs the journaled iterations. The candidate searches
 // are recomputed — the solver's learned clauses and heuristic state are what
 // make the candidate sequence deterministic, so that state must be rebuilt —
-// but the journaled verification verdicts are reused. rewarm, when set,
-// re-runs a verification: warm LP solves depend on the previous
-// same-topology solve, so skipping them drifts later verdicts by an ulp.
-// Its cost and reached flag must then equal the journaled ones bit for bit.
+// but the journaled verification verdicts are reused. reverify, when set,
+// re-solves a candidate's verification (one cold LP solve) as a check: its
+// cost and reached flag must equal the journaled ones bit for bit.
 // Each regenerated candidate must match the journal exactly; a mismatch
 // means the journal belongs to a different problem. Returns done=true when
 // the replay reached a definitive verdict.
-func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journal, recs []JournalRecord, maxIter int, rewarm func(*attack.Vector) (float64, bool, error)) (bool, error) {
+func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journal, recs []JournalRecord, maxIter int, reverify func(*attack.Vector) (float64, bool, error)) (bool, error) {
 	for _, rec := range recs {
 		if rec.Kind != RecIter {
 			return true, fmt.Errorf("%w: unexpected %q record during replay", ErrJournal, rec.Kind)
@@ -495,8 +471,8 @@ func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journa
 		if v == nil || !vectorsEqual(v, rec.Vector) {
 			return true, fmt.Errorf("%w: iteration %d regenerated a different candidate than the journal records (was the input changed?)", ErrJournal, rec.Iter)
 		}
-		if rewarm != nil {
-			cost, reached, err := rewarm(v)
+		if reverify != nil {
+			cost, reached, err := reverify(v)
 			if err != nil {
 				return true, err
 			}
@@ -528,7 +504,7 @@ func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journa
 // The verification runs a stable solver portfolio of width par-1, the
 // speculative search a sequential solver — together they occupy the par
 // workers the caller granted.
-func (a *Analyzer) runPipelined(rep *Report, model *attack.Model, fac *dist.Factors, ws *opf.WarmSolver, pre *prescreener, threshold float64, maxIter, par int, jr *Journal, acc *statsAcc) error {
+func (a *Analyzer) runPipelined(rep *Report, model *attack.Model, fac *dist.Factors, threshold float64, maxIter, par int, jr *Journal, acc *statsAcc) error {
 	// The surviving attack-model lineage carries cumulative counters (Clone
 	// copies them), so reading the final model once covers the whole chain
 	// of speculative clones that became the model.
@@ -572,7 +548,7 @@ func (a *Analyzer) runPipelined(rep *Report, model *attack.Model, fac *dist.Fact
 		vch := make(chan verifyResult, 1)
 		go func(v *attack.Vector) {
 			t := time.Now()
-			cost, reached, err := a.verify(ctx, v, fac, ws, pre, threshold, max(1, par-1), acc)
+			cost, reached, err := a.verify(ctx, v, fac, threshold, max(1, par-1), acc)
 			vch <- verifyResult{cost: cost, reached: reached, err: err, elapsed: time.Since(t)}
 		}(v)
 
@@ -659,35 +635,15 @@ func (a *Analyzer) runPipelined(rep *Report, model *attack.Model, fac *dist.Fact
 // when the resulting minimum cost is at least the threshold while OPF still
 // converges (Eq. 38: the attacker avoids non-convergent outcomes). par is
 // the solver-portfolio width for the SMT backend (<= 1 = sequential).
-//
-// The LODF prescreen runs first when enabled: a candidate whose failure it
-// certifies (a concrete cheap dispatch stays below the threshold with all
-// post-outage flows in bounds) skips the expensive verification entirely,
-// with the witness cost standing in for the OPF minimum.
-func (a *Analyzer) verify(ctx context.Context, v *attack.Vector, fac *dist.Factors, ws *opf.WarmSolver, pre *prescreener, threshold float64, par int, acc *statsAcc) (float64, bool, error) {
-	if cost, ok := pre.prune(v); ok {
-		return cost, false, nil
-	}
+func (a *Analyzer) verify(ctx context.Context, v *attack.Vector, fac *dist.Factors, threshold float64, par int, acc *statsAcc) (float64, bool, error) {
 	mode := a.Verify
 	if mode == 0 {
 		mode = VerifyLP
 	}
 	switch mode {
-	case VerifyLP:
-		var sol *opf.Solution
-		var err error
-		if ws != nil {
-			sol, err = ws.SolveTopology(v.MappedTopology, v.ObservedLoads)
-		} else {
-			sol, err = opf.Solve(a.Grid, v.MappedTopology, v.ObservedLoads)
-		}
-		if errors.Is(err, opf.ErrInfeasible) {
-			return 0, false, nil // Eq. 38: non-convergence is not a success
-		}
-		if err != nil {
-			return 0, false, err
-		}
-		return sol.Cost, sol.Cost >= threshold, nil
+	case VerifyLP, VerifyShift:
+		cost, converged, err := a.opfCost(mode, v, fac)
+		return cost, converged && cost >= threshold, err
 
 	case VerifySMT:
 		// One OPF feasibility model answers both the Eq. 38 and the Eq. 37
@@ -721,22 +677,6 @@ func (a *Analyzer) verify(ctx context.Context, v *attack.Vector, fac *dist.Facto
 			return 0, false, err
 		}
 		return 0, !below, nil
-
-	case VerifyShift:
-		outage := 0
-		if len(v.ExcludedLines) == 1 && len(v.IncludedLines) == 0 {
-			outage = v.ExcludedLines[0]
-		} else if len(v.ExcludedLines) != 0 || len(v.IncludedLines) != 0 {
-			return 0, false, fmt.Errorf("%w: shift-factor verification handles single-line exclusions only", ErrConfig)
-		}
-		sol, err := opf.SolveShift(a.Grid, fac, outage, v.ObservedLoads)
-		if errors.Is(err, opf.ErrInfeasible) {
-			return 0, false, nil
-		}
-		if err != nil {
-			return 0, false, err
-		}
-		return sol.Cost, sol.Cost >= threshold, nil
 
 	default:
 		return 0, false, fmt.Errorf("%w: unknown verify mode %v", ErrConfig, mode)

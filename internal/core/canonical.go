@@ -10,8 +10,8 @@
 //     tenants share one cache entry.
 //   - Sensitivity: a one-ULP perturbation of any float must change the
 //     bytes. Formatted-decimal renderings (the textio writer's %.4f) would
-//     collapse distinct problems onto one key — the warm-tableau-drift class
-//     of bug from the soak work, where last-ulp differences were exactly the
+//     collapse distinct problems onto one key — the last-ulp-drift class of
+//     bug from the soak work, where last-ulp differences were exactly the
 //     signal. Floats are therefore encoded as their IEEE-754 bit patterns.
 //
 // Configuration that cannot change a definitive verdict is deliberately

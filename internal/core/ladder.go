@@ -46,8 +46,7 @@ import (
 // statistics fields are attributions of shared work (each rung's report
 // charges the full shared candidate-search time it consumed, and
 // SolverStats totals ladder-wide effort, so summing across reports
-// double-counts). The LODF prescreen is not consulted on the incremental
-// path — it only ever certifies failures, so verdicts are unaffected.
+// double-counts).
 //
 // When NoIncremental or Certify is set, RunLadder falls back to exactly that
 // naive sweep: one independent cold Run per target. CheckpointPath is not
@@ -131,10 +130,6 @@ func (a *Analyzer) runLadderIncremental(targets []float64) ([]*Report, error) {
 			return nil, fmt.Errorf("core: shift factors: %w", err)
 		}
 	}
-	var ws *opf.WarmSolver
-	if mode == VerifyLP {
-		ws = opf.NewWarmSolver(a.Grid)
-	}
 
 	rungs := make([]*rung, len(targets))
 	for i, t := range targets {
@@ -196,7 +191,7 @@ func (a *Analyzer) runLadderIncremental(targets []float64) ([]*Report, error) {
 			r.rep.Iterations = iter
 		}
 
-		if err := a.ladderVerify(ctx, mode, v, fac, ws, vb, open, acc); err != nil {
+		if err := a.ladderVerify(ctx, mode, v, fac, vb, open, acc); err != nil {
 			return nil, err
 		}
 
@@ -206,12 +201,6 @@ func (a *Analyzer) runLadderIncremental(targets []float64) ([]*Report, error) {
 		model.Block(v, a.BlockPrecision)
 	}
 
-	if ws != nil {
-		st := ws.Stats()
-		for _, r := range rungs {
-			r.rep.LPStats = st
-		}
-	}
 	acc.add(model.Solver().Stats())
 	st := acc.snapshot()
 	elapsed := time.Since(start)
@@ -226,11 +215,11 @@ func (a *Analyzer) runLadderIncremental(targets []float64) ([]*Report, error) {
 
 // ladderVerify verifies one candidate against every open rung and resolves
 // the rungs it satisfies (or cancels).
-func (a *Analyzer) ladderVerify(ctx context.Context, mode VerifyMode, v *attack.Vector, fac *dist.Factors, ws *opf.WarmSolver, vb *expr.Builder, open []*rung, acc *statsAcc) error {
+func (a *Analyzer) ladderVerify(ctx context.Context, mode VerifyMode, v *attack.Vector, fac *dist.Factors, vb *expr.Builder, open []*rung, acc *statsAcc) error {
 	switch mode {
 	case VerifyLP, VerifyShift:
 		t0 := time.Now()
-		cost, converged, err := a.ladderCost(mode, v, fac, ws)
+		cost, converged, err := a.opfCost(mode, v, fac)
 		vt := time.Since(t0)
 		for _, r := range open {
 			r.rep.VerifyTime += vt
@@ -285,14 +274,14 @@ func (a *Analyzer) ladderVerify(ctx context.Context, mode VerifyMode, v *attack.
 	}
 }
 
-// ladderCost computes the candidate's exact post-attack OPF minimum for the
-// cost-based verification modes. converged=false reports Eq. 38
-// non-convergence (never a success, at any threshold).
-func (a *Analyzer) ladderCost(mode VerifyMode, v *attack.Vector, fac *dist.Factors, ws *opf.WarmSolver) (cost float64, converged bool, err error) {
+// opfCost computes the candidate's exact post-attack OPF minimum for the
+// cost-based verification modes (one cold solve). converged=false reports
+// Eq. 38 non-convergence (never a success, at any threshold).
+func (a *Analyzer) opfCost(mode VerifyMode, v *attack.Vector, fac *dist.Factors) (cost float64, converged bool, err error) {
 	var sol *opf.Solution
 	switch mode {
 	case VerifyLP:
-		sol, err = ws.SolveTopology(v.MappedTopology, v.ObservedLoads)
+		sol, err = opf.Solve(a.Grid, v.MappedTopology, v.ObservedLoads)
 	case VerifyShift:
 		outage := 0
 		if len(v.ExcludedLines) == 1 && len(v.IncludedLines) == 0 {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"gridattack/internal/attack"
 	"gridattack/internal/dist"
@@ -13,17 +12,17 @@ import (
 )
 
 // prescreenMargin is the relative safety margin the prescreen demands before
-// it discards a candidate. The witness argument below is exact in real
+// it certifies a candidate. The witness argument below is exact in real
 // arithmetic; the margin absorbs the floating-point error of computing the
 // witness cost and its post-outage flows, which is many orders of magnitude
 // smaller. A candidate within the margin of the threshold or a capacity
-// limit is simply not pruned — the full verification decides it.
+// limit is simply not certified — it needs full verification.
 const prescreenMargin = 1e-6
 
-// prescreener discards candidate attacks that provably cannot raise the
-// post-attack OPF cost to the threshold, without running the LP/SMT
-// verification. It exploits the structure of the verify step: for a
-// candidate with no included lines and at most one excluded line, the
+// prescreener certifies, for ScreenExclusions, candidate attacks that
+// provably cannot raise the post-attack OPF cost to the threshold, without
+// any LP or SMT verification. It exploits the structure of the verify step:
+// for a candidate with no included lines and at most one excluded line, the
 // operator's OPF runs on the true network minus that line. If a concrete
 // dispatch exists whose cost is below the threshold and whose post-outage
 // flows (via the distribution factors' LODFs) respect every line capacity,
@@ -58,9 +57,8 @@ const prescreenMargin = 1e-6
 //     capacities, so it certifies mostly on lightly-loaded networks.
 //
 // Any candidate the prescreen cannot certify (outage islands the network,
-// witness infeasible, cost or a flow within the margin) falls through to the
-// full verification, so enabling the prescreen never changes a verdict —
-// only skips work.
+// witness infeasible, cost or a flow within the margin) is left for full
+// verification: a certificate is sound, but its absence proves nothing.
 type prescreener struct {
 	g         *grid.Grid
 	fac       *dist.Factors
@@ -76,9 +74,6 @@ type prescreener struct {
 	// Interior witnesses, most headroom first; built on first use.
 	interiorOnce sync.Once
 	interior     []witnessDispatch
-
-	screened atomic.Int64 // candidates examined
-	pruned   atomic.Int64 // candidates discarded without verification
 }
 
 // witnessDispatch is one concrete cap-headroom dispatch with its exact cost.
@@ -224,7 +219,7 @@ func (ps *prescreener) certify(gen, loads []float64, outage int) bool {
 
 // prune reports whether the candidate provably fails verification; when it
 // does, the returned cost is the witness dispatch cost (an upper bound on
-// the OPF minimum the skipped verification would have computed).
+// the candidate's OPF minimum).
 func (ps *prescreener) prune(v *attack.Vector) (float64, bool) {
 	if ps == nil {
 		return 0, false
@@ -236,7 +231,6 @@ func (ps *prescreener) prune(v *attack.Vector) (float64, bool) {
 	if len(loads) != ps.g.NumBuses() {
 		return 0, false
 	}
-	ps.screened.Add(1)
 
 	outage := 0
 	if len(v.ExcludedLines) == 1 {
@@ -249,26 +243,23 @@ func (ps *prescreener) prune(v *attack.Vector) (float64, bool) {
 	// so they only apply when the candidate observes them unchanged.
 	if ps.baselineApplies(loads) {
 		if ps.baseCost < ps.threshold-costMargin && ps.certify(ps.baseGen, loads, outage) {
-			ps.pruned.Add(1)
 			return ps.baseCost, true
 		}
 		ps.buildInterior()
 		for _, w := range ps.interior {
 			if w.cost < ps.threshold-costMargin && ps.certify(w.gen, loads, outage) {
-				ps.pruned.Add(1)
 				return w.cost, true
 			}
 		}
 	}
 
-	// Witness 2: the merit-order dispatch for the observed total load.
+	// Witness 3: the merit-order dispatch for the observed total load.
 	var total float64
 	for _, l := range loads {
 		total += l
 	}
 	gen, cost, ok := ps.witness(total)
 	if ok && cost < ps.threshold-costMargin && ps.certify(gen, loads, outage) {
-		ps.pruned.Add(1)
 		return cost, true
 	}
 	return 0, false

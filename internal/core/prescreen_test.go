@@ -5,87 +5,8 @@ import (
 
 	"gridattack/internal/attack"
 	"gridattack/internal/cases"
-	"gridattack/internal/lp"
 	"gridattack/internal/opf"
 )
-
-// abAnalyzer builds the Case Study 1 analyzer used by the A/B tests.
-func abAnalyzer(target float64, verify VerifyMode) *Analyzer {
-	return &Analyzer{
-		Grid: cases.Paper5Bus(),
-		Plan: cases.Paper5PlanCase1(),
-		Capability: attack.Capability{
-			MaxMeasurements:       8,
-			MaxBuses:              3,
-			RequireTopologyChange: true,
-		},
-		TargetIncreasePercent: target,
-		OperatingDispatch:     cases.Paper5OperatingDispatch(),
-		Verify:                verify,
-		Parallelism:           1,
-	}
-}
-
-// reportKernel is the part of a Report that must be invariant under the
-// prescreen and warm-start optimizations.
-type reportKernel struct {
-	baseline, threshold float64
-	found, exhausted    bool
-	iterations          int
-	attackedCost        float64
-	excluded            string
-}
-
-func kernel(rep *Report) reportKernel {
-	k := reportKernel{
-		baseline:     rep.BaselineCost,
-		threshold:    rep.Threshold,
-		found:        rep.Found,
-		exhausted:    rep.Exhausted,
-		iterations:   rep.Iterations,
-		attackedCost: rep.AttackedCost,
-	}
-	if rep.Vector != nil {
-		k.excluded = rep.Vector.String()
-	}
-	return k
-}
-
-// TestPrescreenWarmStartABIdentity: across the Fig. 2 cost-cap ladder, every
-// report field that constitutes a verdict must be bit-identical with the
-// optimizations enabled and disabled, for both LP-backed verify modes.
-func TestPrescreenWarmStartABIdentity(t *testing.T) {
-	for _, mode := range []VerifyMode{VerifyLP, VerifyShift} {
-		for _, target := range []float64{1, 3, 6, 12} {
-			// Optimized: prescreen on, warm starts on (the defaults).
-			opt := abAnalyzer(target, mode)
-			repOpt, err := opt.Run()
-			if err != nil {
-				t.Fatalf("%v target=%v optimized: %v", mode, target, err)
-			}
-
-			// Reference: prescreen off, warm starts off.
-			lp.NoWarmStart = true
-			ref := abAnalyzer(target, mode)
-			ref.NoPrescreen = true
-			repRef, err := ref.Run()
-			lp.NoWarmStart = false
-			if err != nil {
-				t.Fatalf("%v target=%v reference: %v", mode, target, err)
-			}
-
-			if kernel(repOpt) != kernel(repRef) {
-				t.Fatalf("%v target=%v verdict mismatch:\noptimized: %+v\nreference: %+v",
-					mode, target, kernel(repOpt), kernel(repRef))
-			}
-			if repRef.PrescreenPruned != 0 {
-				t.Fatalf("reference run pruned %d candidates with NoPrescreen set", repRef.PrescreenPruned)
-			}
-			t.Logf("%v target=%v%%: found=%v iters=%d pruned=%d lp=%+v",
-				mode, target, repOpt.Found, repOpt.Iterations, repOpt.PrescreenPruned, repOpt.LPStats)
-		}
-	}
-}
 
 // TestPrescreenPrune exercises the pruning decision directly: with ample
 // line capacity the merit-order witness is feasible, so any threshold above
@@ -114,9 +35,6 @@ func TestPrescreenPrune(t *testing.T) {
 	}
 	if cost >= base.Cost*1.05 {
 		t.Fatalf("witness cost %v not below the threshold %v", cost, base.Cost*1.05)
-	}
-	if ps.pruned.Load() != 1 {
-		t.Fatalf("pruned counter = %d, want 1", ps.pruned.Load())
 	}
 
 	// Multi-line and included-line candidates are out of scope: never prune.

@@ -12,6 +12,7 @@ import (
 
 	"gridattack/internal/attack"
 	"gridattack/internal/cases"
+	"gridattack/internal/opf"
 )
 
 // cs1Analyzer builds the Case Study 1 analyzer used by the resume tests.
@@ -273,10 +274,49 @@ func requireResumedVerdict(t *testing.T, what string, ref, got *Report) {
 	}
 }
 
+// requireColdCosts asserts that a journaled LP run is history-independent:
+// every iteration's cost, and the final attacked cost, is the cold opf.Solve
+// cost of that record's vector, bit for bit (0 where the OPF does not
+// converge).
+func requireColdCosts(t *testing.T, what string, a Analyzer, rep *Report) {
+	t.Helper()
+	j, _, recs, err := OpenJournal(a.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	cold := func(v *attack.Vector) float64 {
+		sol, err := opf.Solve(a.Grid, v.MappedTopology, v.ObservedLoads)
+		if errors.Is(err, opf.ErrInfeasible) {
+			return 0
+		}
+		if err != nil {
+			t.Fatalf("%s: cold solve: %v", what, err)
+		}
+		return sol.Cost
+	}
+	check := func(name string, got float64, v *attack.Vector) {
+		if want := cold(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: %s cost %#x, a cold opf.Solve of its vector gives %#x",
+				what, name, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	for _, r := range recs {
+		switch {
+		case r.Kind == RecIter:
+			check(fmt.Sprintf("iteration %d", r.Iter), r.Cost, r.Vector)
+		case r.Kind == RecFinal && r.Found:
+			check("final record", r.AttackedCost, r.Vector)
+		}
+	}
+	check("report", rep.AttackedCost, rep.Vector)
+}
+
 // TestCheckpointCrashPoints resumes the analysis from every state a crash
 // can leave the journal in — each record cut at its start, one byte in, and
 // one byte short of its newline — and requires the uninterrupted verdict
-// and the uninterrupted journal bytes every time.
+// and the uninterrupted journal bytes every time. The reference journal, at
+// Parallelism 1 and 2, must hold only cold-solve costs.
 func TestCheckpointCrashPoints(t *testing.T) {
 	dir := t.TempDir()
 	a := cs2Analyzer()
@@ -289,6 +329,10 @@ func TestCheckpointCrashPoints(t *testing.T) {
 	if ref.Iterations < 3 || !ref.Found {
 		t.Fatalf("reference run: %d iterations, found=%v; the enumerator needs >= 3 and a verdict", ref.Iterations, ref.Found)
 	}
+	requireColdCosts(t, "parallelism 1", a, ref)
+	p2 := a
+	p2.CheckpointPath = filepath.Join(dir, "par2.journal")
+	requireColdCosts(t, "parallelism 2", p2, runAt(t, p2, 2))
 	for _, cut := range crashCuts(full) {
 		b := a
 		b.CheckpointPath = filepath.Join(dir, fmt.Sprintf("cut%d.journal", cut))

@@ -45,11 +45,10 @@ func (r *ScreenReport) Total() time.Duration { return r.BaseSolve + r.Factors + 
 // grid against the cost threshold baseline*(1+targetPercent/100). It is the
 // scalable core of the Fig. 4(a) impact question — "which topology
 // poisonings can raise the operating cost past the target?" — answered
-// without any per-candidate LP or SMT work: a Safe verdict is backed by the
-// same witness-dispatch certificate the Analyzer's prescreen uses (see the
-// prescreener soundness argument), so a Safe line can never verify as
-// reached. The screen never claims the converse: Flagged means "verify me",
-// not "reached".
+// without any per-candidate LP or SMT work: a Safe verdict is backed by a
+// witness-dispatch certificate (see the prescreener soundness argument), so
+// a Safe line can never verify as reached. The screen never claims the
+// converse: Flagged means "verify me", not "reached".
 func ScreenExclusions(g *grid.Grid, targetPercent float64) (*ScreenReport, error) {
 	if targetPercent <= 0 {
 		return nil, fmt.Errorf("%w: target increase must be positive", ErrConfig)

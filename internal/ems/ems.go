@@ -28,9 +28,9 @@ type Pipeline struct {
 	ResidualThreshold float64
 	// Memo, when non-nil, short-circuits OPF solves whose (topology, loads)
 	// bits were seen before, returning a copy of the previously computed
-	// solution. Safe wherever the cold path is: a hit is bit-identical to
-	// re-solving. This is what keeps a quiet continuous-operation cycle
-	// cheap without the warm solver's ulp drift.
+	// solution. A hit is the exact cold result, bit-identical to
+	// re-solving, so a quiet continuous-operation cycle stays cheap without
+	// giving up bit-reproducibility.
 	Memo *OPFMemo
 }
 

@@ -12,9 +12,8 @@ import (
 // load-vector bits. A continuous-operation loop solves the identical
 // (topology, loads) snapshot cycle after cycle whenever the system is quiet;
 // a memo hit returns a copy of the very Solution the cold solver produced
-// for those bits, so — unlike warm-starting, which re-uses a maintained
-// simplex tableau and can drift at the last ulp — memoization is invisible
-// to bit-reproducibility guarantees.
+// for those bits, so a hit is the exact cold result and memoization is
+// invisible to bit-reproducibility guarantees.
 type OPFMemo struct {
 	capacity int
 	order    []string // least-recently-used first

@@ -101,7 +101,7 @@ type JournalRecord struct {
 	Fleet *FleetState `json:"fleet,omitempty"`
 
 	// Monitor fields: verdicts for a drifted-topology snapshot, keyed by the
-	// snapshot fingerprint the warm-start cache uses.
+	// snapshot fingerprint the verdict cache uses.
 	Fingerprint string           `json:"fingerprint,omitempty"`
 	Verdicts    []MonitorVerdict `json:"verdicts,omitempty"`
 
@@ -140,7 +140,7 @@ func (j *Journal) AppendCycle(rec *JournalRecord) error {
 }
 
 // AppendMonitor records the online monitor's verdicts for a topology
-// snapshot, making them replayable on resume (the warm-start cache).
+// snapshot, making them replayable on resume (the verdict cache).
 func (j *Journal) AppendMonitor(cycle int, fingerprint string, verdicts []MonitorVerdict) error {
 	return j.log.Append(&JournalRecord{Kind: recMonitor, Cycle: cycle, Fingerprint: fingerprint, Verdicts: verdicts})
 }

@@ -236,12 +236,9 @@ func newCore(cfg Config) (*Supervisor, error) {
 	s.health.QuarantineAfter = cfg.quarantineAfter()
 	s.health.ReadmitAfter = cfg.ReadmitAfter
 
-	// The per-cycle OPF deliberately stays off the warm solver: warm
-	// re-solves maintain the simplex tableau across rhs changes and drift
-	// from a fresh solve at the last ulp, which would break the loop's
-	// bit-identity guarantees (kill-and-resume, post-recovery convergence).
-	// Quiet cycles are kept cheap by the bit-transparent solution memo
-	// instead — a hit replays the cold solve's exact result.
+	// Quiet cycles are kept cheap by the solution memo: a hit replays the
+	// cold solve's exact result, so the loop's bit-identity guarantees
+	// (kill-and-resume, post-recovery convergence) hold with or without it.
 	s.pipe = ems.NewPipeline(cfg.Grid, cfg.Plan)
 	s.pipe.ResidualThreshold = cfg.ResidualThreshold
 	s.pipe.Memo = ems.NewOPFMemo(8)

@@ -379,7 +379,7 @@ func TestBadDataFreezeAndRecovery(t *testing.T) {
 // fleet's telemetry: each topology drift triggers the online monitor, the
 // repeated snapshot is served from the fingerprint cache, and the cached
 // verdicts are identical to a from-scratch core.RunLadder on the same
-// snapshot — the warm start is a pure speedup, never a semantic change.
+// snapshot — the verdict cache is a pure speedup, never a semantic change.
 func TestMonitorWarmIdentity(t *testing.T) {
 	cfg, z1, op := newHarness(t)
 	g := cfg.Grid

@@ -21,13 +21,14 @@ import (
 // the incremental threshold ladder (core.RunLadder) on it, telling the
 // operator which cost-increase targets just became reachable.
 //
-// Warm start contract: results are keyed by a fingerprint of everything that
-// determines the verdict (closed lines, load bits, dispatch bits, targets,
-// capability, effort budgets). A fingerprint hit replays the journaled
-// verdicts verbatim — a pure speedup, trivially identical to re-running,
-// because the ladder is deterministic for a fixed snapshot. A miss runs the
-// full ladder cold and journals the verdicts for the next hit (including
-// after crash-resume). The cache never extrapolates across fingerprints.
+// Verdict cache contract: results are keyed by a fingerprint of everything
+// that determines the verdict (closed lines, load bits, dispatch bits,
+// targets, capability, effort budgets). A fingerprint hit replays the
+// journaled verdicts verbatim — a pure speedup, trivially identical to
+// re-running, because the ladder is deterministic for a fixed snapshot. A
+// miss runs the full ladder cold and journals the verdicts for the next hit
+// (including after crash-resume). The cache never extrapolates across
+// fingerprints.
 type Monitor struct {
 	Grid       *grid.Grid
 	Plan       *measure.Plan

@@ -121,9 +121,6 @@ func (p *Problem) AddVariable(lo, hi, cost float64, name string) int {
 	return len(p.lower) - 1
 }
 
-// NumVariables returns the number of variables added so far.
-func (p *Problem) NumVariables() int { return len(p.lower) }
-
 // AddConstraint adds the row sum(terms) sense rhs. Terms referencing unknown
 // variables cause an error at Solve time.
 func (p *Problem) AddConstraint(terms []Term, sense Sense, rhs float64) {
@@ -138,7 +135,6 @@ type Solution struct {
 	Objective float64
 	X         []float64 // values of the structural variables
 	Pivots    int       // simplex basis changes performed by this solve
-	Warmed    bool      // true when the solve reused a warm basis
 }
 
 // Value returns the solved value of variable v.

@@ -42,26 +42,18 @@ type tableau struct {
 	nz   []int
 }
 
-// Solve runs two-phase simplex and returns the solution.
+// Solve runs two-phase simplex from scratch and returns the solution.
 func (p *Problem) Solve() (*Solution, error) {
-	sol, _, err := p.solveCold(false)
-	return sol, err
-}
-
-// solveCold runs the two-phase simplex from scratch. When wantWarm is set
-// and the solve reaches optimality, it also returns a Warm context capturing
-// the final tableau for rhs-only re-solves.
-func (p *Problem) solveCold(wantWarm bool) (*Solution, *Warm, error) {
 	for i, c := range p.cons {
 		for _, t := range c.terms {
 			if t.Var < 0 || t.Var >= len(p.lower) {
-				return nil, nil, fmt.Errorf("lp: constraint %d references unknown variable %d", i, t.Var)
+				return nil, fmt.Errorf("lp: constraint %d references unknown variable %d", i, t.Var)
 			}
 		}
 	}
 	for j := range p.lower {
 		if p.lower[j] > p.upper[j] {
-			return &Solution{Status: Infeasible}, nil, nil
+			return &Solution{Status: Infeasible}, nil
 		}
 	}
 
@@ -121,9 +113,7 @@ func (p *Problem) solveCold(wantWarm bool) (*Solution, *Warm, error) {
 	// Fill the constraint matrix, slacks, and artificials.
 	slackIdx := nStruct
 	artIdx := nStruct + nSlack
-	signs := make([]float64, m)
 	for i, c := range p.cons {
-		signs[i] = 1
 		for _, term := range c.terms {
 			t.a[i][term.Var] += term.Coeff
 		}
@@ -153,7 +143,6 @@ func (p *Problem) solveCold(wantWarm bool) (*Solution, *Warm, error) {
 				t.a[i][j] = -t.a[i][j]
 			}
 			resid = -resid
-			signs[i] = -1
 		}
 		art := artIdx + i
 		t.a[i][art] = 1
@@ -170,13 +159,13 @@ func (p *Problem) solveCold(wantWarm bool) (*Solution, *Warm, error) {
 	}
 	st, err := t.iterate(phase1)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if st == Unbounded {
-		return nil, nil, fmt.Errorf("lp: phase 1 unbounded (internal error)")
+		return nil, fmt.Errorf("lp: phase 1 unbounded (internal error)")
 	}
 	if t.objective(phase1) > feasTol {
-		return &Solution{Status: Infeasible}, nil, nil
+		return &Solution{Status: Infeasible}, nil
 	}
 	// Pin artificials to zero so phase 2 cannot reuse them.
 	for i := 0; i < m; i++ {
@@ -193,32 +182,13 @@ func (p *Problem) solveCold(wantWarm bool) (*Solution, *Warm, error) {
 	copy(phase2, p.cost)
 	st, err = t.iterate(phase2)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if st == Unbounded {
-		return &Solution{Status: Unbounded}, nil, nil
+		return &Solution{Status: Unbounded}, nil
 	}
 
-	sol := t.extract(p)
-	var w *Warm
-	if wantWarm {
-		rhs := make([]float64, m)
-		senses := make([]Sense, m)
-		for i, c := range p.cons {
-			rhs[i] = c.rhs
-			senses[i] = c.sense
-		}
-		w = &Warm{
-			t:       t,
-			signs:   signs,
-			rhs:     rhs,
-			senses:  senses,
-			cost:    phase2,
-			nStruct: nStruct,
-			artIdx:  artIdx,
-		}
-	}
-	return sol, w, nil
+	return t.extract(p), nil
 }
 
 // extract builds an Optimal solution from the tableau's current point.

@@ -59,11 +59,7 @@ func (d *goldenDigest) lp(sol *lp.Solution, err error) {
 	}
 	d.int(int(sol.Status))
 	d.int(sol.Pivots)
-	if sol.Warmed {
-		d.int(1)
-	} else {
-		d.int(0)
-	}
+	d.int(0) // was the retired warm-start flag; kept so recorded digests stay valid
 	d.float(sol.Objective)
 	d.floats(sol.X)
 }
@@ -126,10 +122,9 @@ func goldenLoads(g *grid.Grid, rng *rand.Rand, count int) [][]float64 {
 	return out
 }
 
-// goldenAngleEntries solves every (topology, loads) pair of one system cold
-// through opf.Solve and, per topology, along one WarmSolver chain. Each
-// entry digests the LP solution of the identical problem next to the OPF
-// result, since opf.Solve and WarmSolver hide the raw LP fields.
+// goldenAngleEntries solves every (topology, loads) pair of one system
+// through opf.Solve. Each entry digests the LP solution of the identical
+// problem next to the OPF result, since opf.Solve hides the raw LP fields.
 func goldenAngleEntries(t *testing.T, name string, seed int64, topoCount, loadCount int) []goldenEntry {
 	t.Helper()
 	c, err := cases.ByName(name)
@@ -139,10 +134,8 @@ func goldenAngleEntries(t *testing.T, name string, seed int64, topoCount, loadCo
 	g := c.Grid
 	rng := rand.New(rand.NewSource(seed))
 	topos, topoNames := goldenTopologies(g, rng, topoCount)
-	ws := NewWarmSolver(g)
 	var out []goldenEntry
 	for ti, topo := range topos {
-		var warm *lp.Warm
 		for li, loads := range goldenLoads(g, rng, loadCount) {
 			prefix := fmt.Sprintf("%s/%s/load%d", name, topoNames[ti], li)
 
@@ -154,22 +147,6 @@ func goldenAngleEntries(t *testing.T, name string, seed int64, topoCount, loadCo
 			cold.lp(p.Solve())
 			cold.opf(Solve(g, topo, loads))
 			out = append(out, goldenEntry{prefix + "/solve", cold.sum()})
-
-			var chain goldenDigest
-			p, _, err = buildAngleLP(g, topo, loads)
-			if err != nil {
-				t.Fatalf("%s: %v", prefix, err)
-			}
-			sol, next, err := p.SolveWarm(warm)
-			chain.lp(sol, err)
-			warm = next
-			before := ws.Stats()
-			chain.opf(ws.SolveTopology(topo, loads))
-			after := ws.Stats()
-			chain.int(after.Pivots - before.Pivots)
-			chain.int(after.WarmHits - before.WarmHits)
-			chain.int(after.Fallbacks - before.Fallbacks)
-			out = append(out, goldenEntry{prefix + "/warm", chain.sum()})
 		}
 	}
 	return out
@@ -245,10 +222,10 @@ func readGolden(t *testing.T) map[string]string {
 	return want
 }
 
-// TestLPGoldenDigests: every LP result of the corpus — cold and warm
-// angle-formulation OPF on five systems, shift-factor OPF under single-line
-// outages, and a Klee-Minty cube that forces Bland's rule — matches the
-// recorded IEEE-754 bits exactly.
+// TestLPGoldenDigests: every LP result of the corpus — angle-formulation
+// OPF on five systems, shift-factor OPF under single-line outages, and a
+// Klee-Minty cube that forces Bland's rule — matches the recorded IEEE-754
+// bits exactly.
 func TestLPGoldenDigests(t *testing.T) {
 	// Go fuses a*b+c into one rounding on arm64, ppc64, riscv64, s390x and
 	// loong64 but never on amd64, where the digests were recorded.

@@ -36,7 +36,7 @@ type Solution struct {
 }
 
 // angleVars records where the angle-formulation LP builder placed each model
-// quantity, so solutions can be extracted after any solve path.
+// quantity, so the solution can be mapped back to the grid.
 type angleVars struct {
 	thetaVar  []int
 	genVar    []int
@@ -44,10 +44,9 @@ type angleVars struct {
 	fixedCost float64
 }
 
-// buildAngleLP constructs the angle-formulation OPF linear program. For a
-// fixed topology the structure (variables, bounds, costs, constraint matrix,
-// senses) is identical across calls — only the nodal-balance right-hand
-// sides depend on loads — which is what makes warm-started re-solves sound.
+// buildAngleLP constructs the angle-formulation OPF linear program for
+// topology t and the given loads; the loads enter only the nodal-balance
+// right-hand sides.
 func buildAngleLP(g *grid.Grid, t grid.Topology, loads []float64) (*lp.Problem, *angleVars, error) {
 	p := lp.NewProblem()
 	inf := math.Inf(1)
