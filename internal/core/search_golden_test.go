@@ -1,0 +1,221 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"io/fs"
+	"math"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+
+	"gridattack/internal/attack"
+	"gridattack/internal/cases"
+	"gridattack/internal/smt"
+)
+
+// searchGoldenFile pins the search trajectory of the attack and verification
+// solvers on a fixed corpus: each analysis's verdict, vector and attacked
+// cost, plus the SMT effort counters that count the search's steps. A speed
+// change to the SMT core must leave every counter where it was, so any
+// difference here is a change of search, not of speed.
+//
+// To regenerate after a deliberate change of search, delete the file and
+// run TestSearchGoldenDigests -v on amd64: it fails and logs the new
+// listing, one "name digest" line per entry.
+const searchGoldenFile = "testdata/search_golden.txt"
+
+// searchDigest accumulates the bits of one corpus entry.
+type searchDigest struct{ buf []byte }
+
+func (d *searchDigest) int(v int64) { d.buf = binary.LittleEndian.AppendUint64(d.buf, uint64(v)) }
+
+func (d *searchDigest) bool(v bool) {
+	if v {
+		d.int(1)
+	} else {
+		d.int(0)
+	}
+}
+
+func (d *searchDigest) float(v float64) { d.int(int64(math.Float64bits(v))) }
+
+func (d *searchDigest) ints(vs []int) {
+	d.int(int64(len(vs)))
+	for _, v := range vs {
+		d.int(int64(v))
+	}
+}
+
+func (d *searchDigest) floats(vs []float64) {
+	d.int(int64(len(vs)))
+	for _, v := range vs {
+		d.float(v)
+	}
+}
+
+func (d *searchDigest) vector(v *attack.Vector) {
+	d.bool(v != nil)
+	if v == nil {
+		return
+	}
+	d.ints(v.ExcludedLines)
+	d.ints(v.IncludedLines)
+	d.ints(v.AlteredMeasurements)
+	d.ints(v.CompromisedBuses)
+	d.ints(v.InfectedStates)
+	d.floats(v.DeltaTheta)
+	d.floats(v.DeltaFlow)
+	d.floats(v.DeltaConsumption)
+	d.floats(v.ObservedLoads)
+	d.ints(v.MappedTopology.Lines())
+}
+
+func (d *searchDigest) report(rep *Report) {
+	d.bool(rep.Found)
+	d.bool(rep.Exhausted)
+	d.bool(rep.Canceled)
+	d.int(int64(rep.Iterations))
+	d.vector(rep.Vector)
+	d.float(rep.AttackedCost)
+	st := rep.SolverStats
+	for _, v := range []int64{
+		st.Decisions, st.Conflicts, st.Propagations, st.TheoryProps,
+		st.Pivots, int64(st.Clauses), st.Rat64FastOps, st.Rat64BigOps,
+	} {
+		d.int(v)
+	}
+}
+
+func (d *searchDigest) sum() string {
+	h := sha256.Sum256(d.buf)
+	return hex.EncodeToString(h[:8])
+}
+
+// searchEntry is one named digest of the corpus.
+type searchEntry struct{ name, digest string }
+
+// searchAnalyzer configures scenario s (seed 100*s+1) of a registry system
+// with the limits of gridbench's analyze workloads, at Parallelism 1 and
+// without their wall-clock timeout: a timed-out query would make the pin
+// depend on the machine.
+func searchAnalyzer(t *testing.T, system string, s int, states bool, verify VerifyMode) Analyzer {
+	t.Helper()
+	c, err := cases.ByName(system)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewScenario(c, ScenarioConfig{Seed: int64(100*s + 1), States: states})
+	a := *sc.Analyzer(1.5)
+	a.MaxIterations = 6
+	a.MaxConflicts = 2_000_000
+	a.Verify = verify
+	a.Parallelism = 1
+	return a
+}
+
+// searchCorpus computes every entry of the corpus; short mode skips
+// synth118, and every other entry is the same in both modes.
+func searchCorpus(t *testing.T) []searchEntry {
+	var out []searchEntry
+	run := func(name string, a Analyzer) {
+		rep, err := a.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var d searchDigest
+		d.report(rep)
+		out = append(out, searchEntry{name, d.sum()})
+	}
+	for _, system := range []string{"paper5", "ieee14", "synth30", "synth57", "synth118"} {
+		if testing.Short() && system == "synth118" {
+			continue
+		}
+		for s := 0; s < 3; s++ {
+			run(fmt.Sprintf("lp/%s/s%d", system, s), searchAnalyzer(t, system, s, false, VerifyLP))
+		}
+	}
+	for _, system := range []string{"paper5", "ieee14"} {
+		for s := 0; s < 3; s++ {
+			run(fmt.Sprintf("smt-states/%s/s%d", system, s), searchAnalyzer(t, system, s, true, VerifySMT))
+		}
+	}
+
+	targets := []float64{0.5, 1.5, 3}
+	a := searchAnalyzer(t, "ieee14", 0, false, VerifySMT)
+	reps, err := a.RunLadder(targets)
+	if err != nil {
+		t.Fatalf("ladder: %v", err)
+	}
+	for i, rep := range reps {
+		var d searchDigest
+		d.report(rep)
+		out = append(out, searchEntry{fmt.Sprintf("ladder/ieee14/s0/t%g", targets[i]), d.sum()})
+	}
+	return out
+}
+
+// readSearchGolden returns the recorded digests by entry name, or nil when
+// the golden file does not exist.
+func readSearchGolden(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(searchGoldenFile)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		name, digest, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", searchGoldenFile, line)
+		}
+		want[name] = digest
+	}
+	return want
+}
+
+// TestSearchGoldenDigests: every analysis of the corpus — the analyze-lp
+// benchmark's problems under LP verification, state infection under SMT
+// verification, and an incremental ladder — reaches the recorded verdict,
+// vector and attacked cost with the recorded SAT and simplex effort.
+func TestSearchGoldenDigests(t *testing.T) {
+	// Go fuses a*b+c into one rounding on arm64, ppc64, riscv64, s390x and
+	// loong64 but never on amd64, where the digests were recorded.
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests recorded on amd64; %s fuses multiply-adds", runtime.GOARCH)
+	}
+	if smt.CertifyDefault() {
+		// Certification turns off the incremental encoding, so SMT
+		// verification and the ladder take the cold path and search
+		// differently; the pin records the default, incremental search.
+		t.Skip("digests recorded without certification")
+	}
+	got := searchCorpus(t)
+	want := readSearchGolden(t)
+	if want == nil {
+		var b strings.Builder
+		for _, e := range got {
+			fmt.Fprintf(&b, "%s %s\n", e.name, e.digest)
+		}
+		t.Fatalf("%s missing; recorded listing:\n%s", searchGoldenFile, b.String())
+	}
+	for _, e := range got {
+		w, ok := want[e.name]
+		if !ok {
+			t.Fatalf("entry %s missing from %s", e.name, searchGoldenFile)
+		}
+		if w != e.digest {
+			t.Fatalf("first differing entry %s: digest %s, want %s", e.name, e.digest, w)
+		}
+	}
+	if !testing.Short() && len(got) != len(want) {
+		t.Fatalf("corpus has %d entries, %s has %d", len(got), searchGoldenFile, len(want))
+	}
+}

@@ -129,6 +129,17 @@ func TestCertificateUnsatBoundClash(t *testing.T) {
 	if err := mut.Verify(); err == nil {
 		t.Fatal("Verify accepted a trace with the theory lemma dropped")
 	}
+
+	// A lemma literal must name a theory atom: neither a boolean variable
+	// (the constant-true variable has no atom entry) nor a variable past the
+	// end of the atom table.
+	for _, v := range []int{s.trueVar, len(cert.atoms) + 3} {
+		mut = tamperTheoryLit(cert, ti, mkLit(v, false))
+		err := mut.Verify()
+		if err == nil || !strings.Contains(err.Error(), "not a theory atom") {
+			t.Fatalf("Verify with lemma literal on variable %d = %v, want a not-a-theory-atom error", v, err)
+		}
+	}
 }
 
 // TestCertificateUnsatRowConflict forces a simplex row conflict over a
@@ -294,6 +305,18 @@ func tamperFarkas(cert *Certificate, step int, v *big.Rat) Certificate {
 	return mut
 }
 
+// tamperTheoryLit returns a copy of cert with the first literal of the given
+// theory step replaced.
+func tamperTheoryLit(cert *Certificate, step int, l literal) Certificate {
+	mut := *cert
+	mut.steps = append([]proofStep(nil), cert.steps...)
+	st := mut.steps[step]
+	st.tlits = append([]literal(nil), st.tlits...)
+	st.tlits[0] = l
+	mut.steps[step] = st
+	return mut
+}
+
 func TestPortfolioWinnerCertified(t *testing.T) {
 	s := newCertSolver()
 	pigeonhole(s, 6)
@@ -367,9 +390,9 @@ func TestBCPInterruptResumes(t *testing.T) {
 	var stop atomic.Bool
 	stop.Store(true)
 	core.stop = &stop
-	core.enqueue(mkLit(vars[0], false), nil)
-	if confl := core.propagate(); confl != nil {
-		t.Fatalf("unexpected conflict: %v", confl.lits)
+	core.enqueue(mkLit(vars[0], false), 0)
+	if confl := core.propagate(); confl != 0 {
+		t.Fatalf("unexpected conflict: %v", core.lits(confl))
 	}
 	if !core.interrupted {
 		t.Fatal("propagate did not honor the stop flag")
@@ -380,8 +403,8 @@ func TestBCPInterruptResumes(t *testing.T) {
 	// Resume: the fixpoint completes and the whole chain is implied.
 	stop.Store(false)
 	core.interrupted = false
-	if confl := core.propagate(); confl != nil {
-		t.Fatalf("unexpected conflict on resume: %v", confl.lits)
+	if confl := core.propagate(); confl != 0 {
+		t.Fatalf("unexpected conflict on resume: %v", core.lits(confl))
 	}
 	for i, v := range vars {
 		if core.assign[v] != assignTrue {

@@ -82,7 +82,7 @@ type Certificate struct {
 	asserts   []assertRecord
 	premises  [][]literal
 	steps     []proofStep
-	atoms     map[int]*atomInfo
+	atoms     []*atomInfo
 	slackDefs map[int][]LinTerm
 	nVars     int
 
@@ -262,10 +262,11 @@ func (c *Certificate) checkFarkas(st proofStep) error {
 	coeffs := make(map[int]*big.Rat)
 	constA, constB := new(big.Rat), new(big.Rat) // constant part as A + B*delta
 	for i, l := range st.tlits {
-		info := c.atoms[l.variable()]
-		if info == nil {
+		v := l.variable()
+		if v < 0 || v >= len(c.atoms) || c.atoms[v] == nil {
 			return fmt.Errorf("literal %v is not a theory atom", l)
 		}
+		info := c.atoms[v]
 		lam := st.farkas[i]
 		if lam == nil || lam.Sign() < 0 {
 			return fmt.Errorf("multiplier %d is missing or negative", i)

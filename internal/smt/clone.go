@@ -13,19 +13,18 @@ import "math/big"
 // the analyzer's speculative find–verify pipeline, where a replica continues
 // the search under an assumption while the original stays untouched.
 func (s *Solver) Clone() *Solver {
-	core, cmap := s.core.clone()
 	cp := &Solver{
-		core:           core,
+		core:           s.core.clone(),
 		simp:           s.simp.clone(),
 		boolNames:      append([]string(nil), s.boolNames...),
 		realNames:      append([]string(nil), s.realNames...),
 		trueVar:        s.trueVar,
-		atoms:          make(map[int]*atomInfo, len(s.atoms)),
+		atoms:          make([]*atomInfo, len(s.atoms)),
 		atomVars:       make(map[string]int, len(s.atomVars)),
 		formSlacks:     make(map[string]int, len(s.formSlacks)),
 		tseitinCache:   make(map[*Formula]literal, len(s.tseitinCache)),
 		atomSlacks:     append([]int(nil), s.atomSlacks...),
-		atomsBySlack:   make(map[int][]int, len(s.atomsBySlack)),
+		atomsBySlack:   make([][]int, len(s.atomsBySlack)),
 		theoryHead:     s.theoryHead,
 		NoPropagate:    s.NoPropagate,
 		ForceBigRat:    s.ForceBigRat,
@@ -53,6 +52,9 @@ func (s *Solver) Clone() *Solver {
 		cp.slackDefs[v] = def // defining terms are never mutated after creation
 	}
 	for v, info := range s.atoms {
+		if info == nil {
+			continue
+		}
 		ni := &atomInfo{
 			slack:   info.slack,
 			isUpper: info.isUpper,
@@ -77,13 +79,12 @@ func (s *Solver) Clone() *Solver {
 	if s.modelDelta != nil {
 		cp.modelDelta = new(big.Rat).Set(s.modelDelta)
 	}
-	_ = cmap
 	return cp
 }
 
-// clone deep-copies the SAT core. It also returns the old-to-new clause
-// mapping so callers holding clause pointers could translate them.
-func (c *satCore) clone() (*satCore, map[*clause]*clause) {
+// clone deep-copies the SAT core. Clauses, watches and reasons are arena
+// offsets, so flat copies of the slices carry them over unchanged.
+func (c *satCore) clone() *satCore {
 	n := &satCore{
 		numVars:       c.numVars,
 		varInc:        c.varInc,
@@ -93,8 +94,12 @@ func (c *satCore) clone() (*satCore, map[*clause]*clause) {
 		decisions:     c.decisions,
 		conflicts:     c.conflicts,
 		propagations:  c.propagations,
+		arena:         append([]literal(nil), c.arena...),
+		clauses:       append([]cref(nil), c.clauses...),
+		watches:       make([][]cref, len(c.watches)),
 		assign:        append([]assignVal(nil), c.assign...),
 		level:         append([]int(nil), c.level...),
+		reason:        append([]cref(nil), c.reason...),
 		trail:         append([]literal(nil), c.trail...),
 		trailLim:      append([]int(nil), c.trailLim...),
 		activity:      append([]float64(nil), c.activity...),
@@ -102,38 +107,10 @@ func (c *satCore) clone() (*satCore, map[*clause]*clause) {
 		heap:          append([]int(nil), c.heap...),
 		heapPos:       append([]int(nil), c.heapPos...),
 	}
-	cmap := make(map[*clause]*clause, len(c.clauses))
-	n.clauses = make([]*clause, len(c.clauses))
-	for i, cl := range c.clauses {
-		ncl := &clause{lits: append([]literal(nil), cl.lits...), learned: cl.learned}
-		n.clauses[i] = ncl
-		cmap[cl] = ncl
-	}
-	n.watches = make([][]*clause, len(c.watches))
 	for i, ws := range c.watches {
-		if len(ws) == 0 {
-			continue
-		}
-		nws := make([]*clause, len(ws))
-		for j, cl := range ws {
-			nws[j] = cmap[cl]
-		}
-		n.watches[i] = nws
+		n.watches[i] = append([]cref(nil), ws...)
 	}
-	n.reason = make([]*clause, len(c.reason))
-	for i, r := range c.reason {
-		if r == nil {
-			continue
-		}
-		if nr, ok := cmap[r]; ok {
-			n.reason[i] = nr
-		} else {
-			// A reason not in the clause database (defensive: all current
-			// code paths attach reasons to the database first).
-			n.reason[i] = &clause{lits: append([]literal(nil), r.lits...), learned: r.learned}
-		}
-	}
-	return n, cmap
+	return n
 }
 
 // clone deep-copies the simplex tableau, bounds, assignment, and backtrack

@@ -307,12 +307,17 @@ func (s *Solver) inequalityLit(terms []LinTerm, op Op, rhs *big.Rat) literal {
 		bound:   new(big.Rat).Set(ca.bound),
 	}
 	info.initDeltaBounds()
+	for len(s.atoms) <= v {
+		s.atoms = append(s.atoms, nil)
+	}
 	s.atoms[v] = info
 	s.atomVars[key] = v
-	// Index the atom under its simplex variable for theory propagation; the
-	// slice (and the first-use-ordered slack list) gives deterministic
-	// iteration where ranging over the atoms map would not.
-	if _, seen := s.atomsBySlack[slack]; !seen {
+	// Index the atom under its simplex variable for theory propagation, with
+	// the simplex variables in first-use order.
+	for len(s.atomsBySlack) <= slack {
+		s.atomsBySlack = append(s.atomsBySlack, nil)
+	}
+	if len(s.atomsBySlack[slack]) == 0 {
 		s.atomSlacks = append(s.atomSlacks, slack)
 	}
 	s.atomsBySlack[slack] = append(s.atomsBySlack[slack], v)

@@ -249,9 +249,9 @@ func (s *Solver) portfolio(ctx context.Context, n int, stable bool) (Result, err
 // into s at decision level 0.
 func (s *Solver) absorbLearned(from *Solver, since int) {
 	s.backtrackAll()
-	for _, cl := range from.core.clauses[since:] {
-		if cl.learned && len(cl.lits) <= maxSharedClauseLen {
-			s.addClause(append([]literal(nil), cl.lits...))
+	for _, cr := range from.core.clauses[since:] {
+		if lits := from.core.lits(cr); from.core.learned(cr) && len(lits) <= maxSharedClauseLen {
+			s.addClause(lits)
 		}
 	}
 }

@@ -152,10 +152,12 @@ func (s *Solver) propagateLit(l literal, premises []literal, farkas []*big.Rat) 
 	if v := l.variable(); s.core.assign[v] != unassigned {
 		return false
 	}
-	lits := make([]literal, 0, len(premises)+1)
-	lits = append(lits, l)
-	for _, p := range premises {
-		lits = append(lits, p.not())
+	c := s.core
+	cr := c.alloc(len(premises)+1, true)
+	lits := c.lits(cr)
+	lits[0] = l
+	for i, p := range premises {
+		lits[i+1] = p.not()
 	}
 	if s.Certify {
 		tlits := make([]literal, 0, len(premises)+1)
@@ -172,10 +174,8 @@ func (s *Solver) propagateLit(l literal, premises []literal, farkas []*big.Rat) 
 			farkas: fk,
 		})
 	}
-	cl := &clause{lits: lits, learned: true}
-	s.core.clauses = append(s.core.clauses, cl)
-	s.core.attach(cl)
-	s.core.enqueue(l, cl)
+	c.attach(cr)
+	c.enqueue(l, cr)
 	s.theoryProps++
 	return true
 }

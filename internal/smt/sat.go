@@ -10,10 +10,15 @@ const (
 	lubyUnit      = 256 // conflicts per Luby restart unit
 )
 
-type clause struct {
-	lits    []literal
-	learned bool
-}
+// cref is a clause's offset in satCore.arena; 0 means no clause.
+type cref uint32
+
+// A clause is stored in the arena as a header word, its length shifted left
+// by one with the low bit set for learned clauses, followed by its literals.
+// Watch lists, reasons and the clause list hold offsets into the arena, so a
+// watch visit reads the header and the literals from one contiguous run
+// (the layout of MiniSat's region allocator).
+const learnedBit = 1
 
 // value of an assigned variable.
 type assignVal int8
@@ -26,11 +31,12 @@ const (
 
 type satCore struct {
 	numVars  int
-	clauses  []*clause
-	watches  [][]*clause // indexed by literal
+	arena    []literal // arena[0] is unused, so cref 0 names no clause
+	clauses  []cref
+	watches  [][]cref // indexed by literal
 	assign   []assignVal
 	level    []int
-	reason   []*clause
+	reason   []cref
 	trail    []literal
 	trailLim []int
 	qhead    int
@@ -58,14 +64,16 @@ type satCore struct {
 	decisions, conflicts, propagations int64
 
 	// Scratch buffers reused across calls (never cloned — clones start
-	// fresh): addBuf backs addClause's dedup pass, seenBuf the conflict
-	// analysis marks (all-false between analyze calls by invariant).
-	addBuf  []literal
-	seenBuf []bool
+	// fresh): addBuf backs addClause's dedup pass, learntBuf the clause
+	// analyze returns, seenBuf the conflict analysis marks (all-false
+	// between analyze calls by invariant).
+	addBuf    []literal
+	learntBuf []literal
+	seenBuf   []bool
 }
 
 func newSATCore() *satCore {
-	return &satCore{varInc: 1}
+	return &satCore{varInc: 1, arena: []literal{0}}
 }
 
 func (c *satCore) newVar() int {
@@ -73,7 +81,7 @@ func (c *satCore) newVar() int {
 	c.numVars++
 	c.assign = append(c.assign, unassigned)
 	c.level = append(c.level, 0)
-	c.reason = append(c.reason, nil)
+	c.reason = append(c.reason, 0)
 	c.activity = append(c.activity, 0)
 	c.phase = append(c.phase, false)
 	c.watches = append(c.watches, nil, nil)
@@ -207,24 +215,59 @@ func (c *satCore) addClause(lits []literal) {
 	case 0:
 		c.unsatisfiable = true
 	case 1:
-		if !c.enqueue(filtered[0], nil) {
+		if !c.enqueue(filtered[0], 0) {
 			c.unsatisfiable = true
 		}
 	default:
-		cl := &clause{lits: append([]literal(nil), filtered...)}
-		c.attach(cl)
-		c.clauses = append(c.clauses, cl)
+		c.store(filtered, false)
 	}
 }
 
-func (c *satCore) attach(cl *clause) {
-	c.watches[cl.lits[0].not()] = append(c.watches[cl.lits[0].not()], cl)
-	c.watches[cl.lits[1].not()] = append(c.watches[cl.lits[1].not()], cl)
+// store copies a clause of at least two literals into the arena, adds it to
+// the clause list and watches its first two literals.
+func (c *satCore) store(lits []literal, learned bool) cref {
+	cr := c.alloc(len(lits), learned)
+	copy(c.arena[cr+1:], lits)
+	c.attach(cr)
+	return cr
 }
 
-// enqueue records that literal l is implied (reason may be nil for
-// decisions/level-0 facts). It returns false when l is already false.
-func (c *satCore) enqueue(l literal, from *clause) bool {
+// alloc reserves an n-literal clause at the end of the arena and adds it to
+// the clause list; the caller fills its literals and attaches it.
+func (c *satCore) alloc(n int, learned bool) cref {
+	if uint64(len(c.arena))+uint64(n)+1 >= 1<<32 {
+		panic("smt: clause arena exceeds 2^32-1 literals") // a clause's end must fit in a cref
+	}
+	cr := cref(len(c.arena))
+	hdr := literal(n << 1)
+	if learned {
+		hdr |= learnedBit
+	}
+	c.arena = append(c.arena, hdr)
+	c.arena = append(c.arena, make([]literal, n)...)
+	c.clauses = append(c.clauses, cr)
+	return cr
+}
+
+// lits returns the literals of clause cr, aliasing the arena: the slice is
+// valid until the next alloc.
+func (c *satCore) lits(cr cref) []literal {
+	n := cref(c.arena[cr] >> 1)
+	return c.arena[cr+1 : cr+1+n : cr+1+n]
+}
+
+// learned reports whether clause cr was derived rather than asserted.
+func (c *satCore) learned(cr cref) bool { return c.arena[cr]&learnedBit != 0 }
+
+func (c *satCore) attach(cr cref) {
+	lits := c.lits(cr)
+	c.watches[lits[0].not()] = append(c.watches[lits[0].not()], cr)
+	c.watches[lits[1].not()] = append(c.watches[lits[1].not()], cr)
+}
+
+// enqueue records that literal l is implied (reason 0 for decisions and
+// level-0 facts). It returns false when l is already false.
+func (c *satCore) enqueue(l literal, from cref) bool {
 	switch c.litValue(l) {
 	case assignTrue:
 		return true
@@ -245,14 +288,15 @@ func (c *satCore) enqueue(l literal, from *clause) bool {
 }
 
 // propagate runs unit propagation to fixpoint. It returns the conflicting
-// clause, or nil.
-func (c *satCore) propagate() *clause {
+// clause, or 0.
+func (c *satCore) propagate() cref {
+	arena := c.arena // propagate allocates no clause
 	for c.qhead < len(c.trail) {
 		if c.stop != nil && c.propagations&1023 == 0 && c.stop.Load() {
 			// Poll only between trail items: the watch lists are intact here,
 			// and the queue resumes from qhead on the next call.
 			c.interrupted = true
-			return nil
+			return 0
 		}
 		p := c.trail[c.qhead] // p is true; clauses watching not(p) may become unit
 		c.qhead++
@@ -265,24 +309,26 @@ func (c *satCore) propagate() *clause {
 		ws := c.watches[p]
 		j := 0
 		for wi := 0; wi < len(ws); wi++ {
-			cl := ws[wi]
+			cr := ws[wi]
+			n := cref(arena[cr] >> 1)
+			lits := arena[cr+1 : cr+1+n : cr+1+n]
 			// Ensure lits[1] is the false literal (== not(p)).
-			if cl.lits[0] == p.not() {
-				cl.lits[0], cl.lits[1] = cl.lits[1], cl.lits[0]
+			if lits[0] == p.not() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			if c.litValue(cl.lits[0]) == assignTrue {
-				ws[j] = cl
+			if c.litValue(lits[0]) == assignTrue {
+				ws[j] = cr
 				j++
 				continue
 			}
 			// Look for a new literal to watch.
 			found := false
-			for k := 2; k < len(cl.lits); k++ {
-				if c.litValue(cl.lits[k]) != assignFals {
-					cl.lits[1], cl.lits[k] = cl.lits[k], cl.lits[1]
+			for k := 2; k < len(lits); k++ {
+				if c.litValue(lits[k]) != assignFals {
+					lits[1], lits[k] = lits[k], lits[1]
 					// The new watch is non-false and not(p) is false, so the
 					// target list is never this one — in-place j is safe.
-					c.watches[cl.lits[1].not()] = append(c.watches[cl.lits[1].not()], cl)
+					c.watches[lits[1].not()] = append(c.watches[lits[1].not()], cr)
 					found = true
 					break
 				}
@@ -291,35 +337,35 @@ func (c *satCore) propagate() *clause {
 				continue
 			}
 			// Clause is unit or conflicting.
-			ws[j] = cl
+			ws[j] = cr
 			j++
-			if !c.enqueue(cl.lits[0], cl) {
+			if !c.enqueue(lits[0], cr) {
 				// Conflict: keep the unvisited tail and report.
 				j += copy(ws[j:], ws[wi+1:])
 				c.watches[p] = ws[:j]
 				c.qhead = len(c.trail)
-				return cl
+				return cr
 			}
 		}
 		c.watches[p] = ws[:j]
 	}
-	return nil
+	return 0
 }
 
 // analyze performs 1UIP conflict analysis. The conflicting clause's literals
 // must all be false, with at least one at the current decision level. It
-// returns the learned clause (asserting literal first) and the backjump
-// level.
-func (c *satCore) analyze(confl *clause) ([]literal, int) {
+// returns the learned clause (asserting literal first), valid until the next
+// analyze, and the backjump level.
+func (c *satCore) analyze(confl []literal) ([]literal, int) {
 	if len(c.seenBuf) < c.numVars {
 		c.seenBuf = make([]bool, c.numVars)
 	}
-	seen := c.seenBuf      // all false on entry; cleared again before returning
-	learnt := []literal{0} // placeholder for the asserting literal
+	seen := c.seenBuf                    // all false on entry; cleared again before returning
+	learnt := append(c.learntBuf[:0], 0) // placeholder for the asserting literal
 	counter := 0
 	idx := len(c.trail) - 1
 	var p literal
-	reasonLits := confl.lits
+	reasonLits := confl
 
 	for {
 		for _, q := range reasonLits {
@@ -346,9 +392,8 @@ func (c *satCore) analyze(confl *clause) ([]literal, int) {
 		if counter == 0 {
 			break
 		}
-		r := c.reason[p.variable()]
 		// Skip the first literal of the reason (it is p itself).
-		reasonLits = r.lits[1:]
+		reasonLits = c.lits(c.reason[p.variable()])[1:]
 	}
 	learnt[0] = p.not()
 	// Restore the all-false invariant: the only marks still set belong to
@@ -372,6 +417,7 @@ func (c *satCore) analyze(confl *clause) ([]literal, int) {
 			break
 		}
 	}
+	c.learntBuf = learnt
 	return learnt, bt
 }
 
@@ -401,10 +447,10 @@ func (c *satCore) analyzeFinal(p literal) []literal {
 		if c.level[v] == 0 {
 			continue // level-0 facts need no justification
 		}
-		if r := c.reason[v]; r == nil {
+		if r := c.reason[v]; r == 0 {
 			out = append(out, c.trail[i]) // a decision: an earlier assumption
 		} else {
-			for _, q := range r.lits {
+			for _, q := range c.lits(r) {
 				if qv := q.variable(); qv != v && c.level[qv] > 0 {
 					seen[qv] = true
 				}
@@ -442,7 +488,7 @@ func (c *satCore) cancelUntil(level int) {
 	for i := len(c.trail) - 1; i >= lim; i-- {
 		v := c.trail[i].variable()
 		c.assign[v] = unassigned
-		c.reason[v] = nil
+		c.reason[v] = 0
 		c.heapInsert(v)
 	}
 	c.trail = c.trail[:lim]

@@ -88,16 +88,16 @@ type Solver struct {
 
 	trueVar int
 
-	atoms        map[int]*atomInfo // SAT var -> theory meaning
-	atomVars     map[string]int    // canonical atom key -> SAT var
-	formSlacks   map[string]int    // canonical form key -> simplex var
+	atoms        []*atomInfo    // SAT var -> theory meaning; nil (or past the end) for non-atoms
+	atomVars     map[string]int // canonical atom key -> SAT var
+	formSlacks   map[string]int // canonical form key -> simplex var
 	tseitinCache map[*Formula]literal
 
 	// Theory-propagation index: the simplex variables that carry atoms, in
 	// first-use order (deterministic iteration), and the SAT variables of the
-	// atoms on each.
+	// atoms on each, indexed by simplex var.
 	atomSlacks   []int
-	atomsBySlack map[int][]int
+	atomsBySlack [][]int
 
 	theoryHead int // trail index up to which bounds were sent to the theory
 
@@ -232,11 +232,9 @@ func NewSolver() *Solver {
 	s := &Solver{
 		core:         newSATCore(),
 		simp:         newSimplex(),
-		atoms:        make(map[int]*atomInfo),
 		atomVars:     make(map[string]int),
 		formSlacks:   make(map[string]int),
 		tseitinCache: make(map[*Formula]literal),
-		atomsBySlack: make(map[int][]int),
 		slackDefs:    make(map[int][]LinTerm),
 	}
 	if certifyDefault.Load() {
@@ -434,7 +432,7 @@ func (s *Solver) check() (Result, error) {
 			return 0, ErrCanceled
 		}
 		var tconfl *theoryConflict
-		if confl == nil {
+		if confl == 0 {
 			tconfl = s.drainTheory()
 			if tconfl == nil && s.theoryFullCheckNeeded() {
 				var err error
@@ -444,12 +442,13 @@ func (s *Solver) check() (Result, error) {
 				}
 			}
 		}
-		if confl != nil || tconfl != nil {
+		if confl != 0 || tconfl != nil {
 			s.core.conflicts++
 			conflictsThisRestart++
+			var conflLits []literal
 			if tconfl != nil {
-				cl, lvl := s.theoryConflictClause(tconfl)
-				if cl == nil {
+				lits, lvl := s.theoryConflictClause(tconfl)
+				if lits == nil {
 					return Unsat, nil
 				}
 				if lvl < s.core.decisionLevel() {
@@ -457,7 +456,9 @@ func (s *Solver) check() (Result, error) {
 					s.simp.popTo(lvl)
 					s.theoryHead = min(s.theoryHead, len(s.core.trail))
 				}
-				confl = cl
+				conflLits = lits
+			} else {
+				conflLits = s.core.lits(confl)
 			}
 			if s.core.decisionLevel() == 0 {
 				return Unsat, nil
@@ -477,22 +478,17 @@ func (s *Solver) check() (Result, error) {
 			if s.interrupted() {
 				return 0, ErrCanceled
 			}
-			learnt, bt := s.core.analyze(confl)
+			learnt, bt := s.core.analyze(conflLits)
 			s.logLearned(learnt)
 			s.core.cancelUntil(bt)
 			s.simp.popTo(bt)
 			s.theoryHead = min(s.theoryHead, len(s.core.trail))
-			if len(learnt) == 1 {
-				if !s.core.enqueue(learnt[0], nil) {
-					return Unsat, nil
-				}
-			} else {
-				cl := &clause{lits: learnt, learned: true}
-				s.core.clauses = append(s.core.clauses, cl)
-				s.core.attach(cl)
-				if !s.core.enqueue(learnt[0], cl) {
-					return Unsat, nil
-				}
+			var from cref
+			if len(learnt) > 1 {
+				from = s.core.store(learnt, true)
+			}
+			if !s.core.enqueue(learnt[0], from) {
+				return Unsat, nil
 			}
 			s.core.decayActivity()
 			continue
@@ -550,7 +546,7 @@ func (s *Solver) check() (Result, error) {
 			default:
 				s.core.trailLim = append(s.core.trailLim, len(s.core.trail))
 				s.simp.push()
-				s.core.enqueue(p, nil)
+				s.core.enqueue(p, 0)
 			}
 			continue
 		}
@@ -586,8 +582,8 @@ func (s *Solver) check() (Result, error) {
 			}
 			if tc != nil {
 				// Should have been caught above; treat as a conflict.
-				cl, lvl := s.theoryConflictClause(tc)
-				if cl == nil {
+				lits, lvl := s.theoryConflictClause(tc)
+				if lits == nil {
 					return Unsat, nil
 				}
 				s.core.cancelUntil(lvl)
@@ -606,7 +602,7 @@ func (s *Solver) check() (Result, error) {
 		if s.rngState != 0 && s.nextRand()%s.randFreq == 0 {
 			pol = !pol // diversified replica: occasional random polarity
 		}
-		s.core.enqueue(mkLit(v, !pol), nil)
+		s.core.enqueue(mkLit(v, !pol), 0)
 	}
 }
 
@@ -620,10 +616,11 @@ func (s *Solver) drainTheory() *theoryConflict {
 	for s.theoryHead < len(s.core.trail) {
 		l := s.core.trail[s.theoryHead]
 		s.theoryHead++
-		info, ok := s.atoms[l.variable()]
-		if !ok {
+		v := l.variable()
+		if v >= len(s.atoms) || s.atoms[v] == nil {
 			continue
 		}
+		info := s.atoms[v]
 		var isUpper bool
 		var val drat64
 		if l.negated() {
@@ -642,7 +639,7 @@ func (s *Solver) drainTheory() *theoryConflict {
 // inconsistent literals) into a conflicting clause (all literals false under
 // the current assignment) and the decision level at which it is conflicting.
 // A nil clause means the conflict holds at level 0: unsatisfiable.
-func (s *Solver) theoryConflictClause(tc *theoryConflict) (*clause, int) {
+func (s *Solver) theoryConflictClause(tc *theoryConflict) ([]literal, int) {
 	lits := make([]literal, 0, len(tc.lits))
 	maxLevel := 0
 	for _, l := range tc.lits {
@@ -664,7 +661,7 @@ func (s *Solver) theoryConflictClause(tc *theoryConflict) (*clause, int) {
 	if maxLevel == 0 {
 		return nil, 0
 	}
-	return &clause{lits: lits, learned: true}, maxLevel
+	return lits, maxLevel
 }
 
 // logLearned records a learned clause in the proof trace. The copy is taken
@@ -685,7 +682,7 @@ func (s *Solver) buildCertificate(res Result) *Certificate {
 		spoiled:   s.certSpoiled,
 		asserts:   s.assertRecs[:len(s.assertRecs):len(s.assertRecs)],
 		premises:  s.premises[:len(s.premises):len(s.premises)],
-		atoms:     s.atoms,
+		atoms:     s.atoms[:len(s.atoms):len(s.atoms)],
 		slackDefs: s.slackDefs,
 		nVars:     s.core.numVars,
 	}
