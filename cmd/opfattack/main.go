@@ -62,7 +62,7 @@ func run(args []string, stdout io.Writer) error {
 		noIncr     = fs.Bool("no-incremental", false, "disable the incremental (assumption-based) encoding and rebuild solver state cold for every query")
 		budget     = fs.String("budget", "", "per-query solver budget as key=value pairs: conflicts=N, pivots=N, time=DURATION (e.g. conflicts=500000,time=30s)")
 		checkpoint = fs.String("checkpoint", "", "journal file for crash-resumable analysis; rerunning the same configuration resumes where the previous run stopped")
-		verbose    = fs.Bool("v", false, "print solver effort counters (pivots, propagations, arithmetic fast-path split) after the run")
+		verbose    = fs.Bool("v", false, "print solver effort counters (pivots, propagations, arithmetic fast-path split, exact OPF fallbacks) after the run")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the analysis to this file")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
 	)
@@ -182,6 +182,7 @@ func run(args []string, stdout io.Writer) error {
 			st.Decisions, st.Conflicts, st.Propagations, st.TheoryProps, st.Pivots)
 		fmt.Fprintf(stdout, "arith kernel: rat64-fast=%d bigrat-fallback=%d (%.2f%% fast path) row-pool-reuse=%d\n",
 			st.Rat64FastOps, st.Rat64BigOps, st.FastPathPercent(), st.RowPoolReuse)
+		fmt.Fprintf(stdout, "exact OPF fallbacks: %d (candidates the SMT model decided)\n", rep.ExactFallbacks)
 	}
 	return nil
 }

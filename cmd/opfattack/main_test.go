@@ -78,6 +78,17 @@ func TestRunVerifyModes(t *testing.T) {
 	}
 }
 
+func TestRunVerboseReportsExactFallbacks(t *testing.T) {
+	path := writeCaseStudy1Input(t)
+	var out bytes.Buffer
+	if err := run([]string{"-input", path, "-operating", "0.47,0.11,0.25,0,0", "-verify", "smt", "-v"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "exact OPF fallbacks: 0 ") {
+		t.Errorf("-v output lacks the fallback count:\n%s", out.String())
+	}
+}
+
 func TestParseBudget(t *testing.T) {
 	conflicts, pivots, timeout, err := parseBudget("conflicts=100, pivots=5, time=30s")
 	if err != nil {

@@ -41,8 +41,13 @@ const (
 	// VerifyLP computes the exact post-attack OPF minimum with the LP
 	// simplex and compares it against the threshold.
 	VerifyLP VerifyMode = iota + 1
-	// VerifySMT runs the paper's OPF feasibility model (Eq. 37): unsat of
-	// "cost <= T" certifies the increase.
+	// VerifySMT decides the paper's OPF feasibility queries (Eqs. 37-38:
+	// is there a dispatch with cost <= 10T, and one with cost <= T?) in
+	// exact arithmetic. The exact model (opf.NewExactModel) certifies the
+	// float LP's final basis for the SMT model's rational LP and compares
+	// the exact optimum with each cap; the SMT feasibility model, where
+	// unsat of "cost <= T" certifies the increase, decides only the
+	// candidates it cannot certify (Report.ExactFallbacks counts them).
 	VerifySMT
 	// VerifyShift uses the PTDF/LODF shift-factor OPF (paper Sec. IV-A);
 	// only valid for single-line exclusion attacks.
@@ -112,14 +117,15 @@ type Analyzer struct {
 	Certify bool
 
 	// NoIncremental forces the cold (assertion-based) SMT encoding path:
-	// under VerifySMT every verification model asserts its cost caps
-	// permanently instead of passing them as retractable assumptions, and
-	// RunLadder falls back to one independent full Run per rung instead of
-	// sharing the candidate search across rungs. Verdicts are identical either
-	// way (see DESIGN.md, "Expression layer & incremental search"); the knob
-	// exists for A/B validation, benchmarking, and as an escape hatch.
-	// Enabling Certify implies the cold path, because an unsat-under-
-	// assumptions verdict carries no checkable certificate.
+	// under VerifySMT every fallback verification model (one the exact
+	// model could not certify) asserts its cost caps permanently instead of
+	// passing them as retractable assumptions, and RunLadder falls back to
+	// one independent full Run per rung instead of sharing the candidate
+	// search across rungs. Verdicts are identical either way (see DESIGN.md,
+	// "Expression layer & incremental search"); the knob exists for A/B
+	// validation, benchmarking, and as an escape hatch. Enabling Certify
+	// implies the cold path, because an unsat-under-assumptions verdict
+	// carries no checkable certificate.
 	NoIncremental bool
 
 	// CheckpointPath enables crash-resumable analysis: every completed
@@ -145,8 +151,9 @@ type Analyzer struct {
 // pipelined loop. It lives outside Analyzer so the Analyzer value stays
 // copyable (MaxAchievableIncrease passes it by value).
 type statsAcc struct {
-	mu sync.Mutex
-	st smt.Stats
+	mu        sync.Mutex
+	st        smt.Stats
+	fallbacks int // VerifySMT candidates the exact model could not certify
 }
 
 func (a *statsAcc) add(st smt.Stats) {
@@ -155,10 +162,18 @@ func (a *statsAcc) add(st smt.Stats) {
 	a.mu.Unlock()
 }
 
-func (a *statsAcc) snapshot() smt.Stats {
+func (a *statsAcc) addFallback() {
+	a.mu.Lock()
+	a.fallbacks++
+	a.mu.Unlock()
+}
+
+// fill copies the accumulated counters into rep.
+func (a *statsAcc) fill(rep *Report) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.st
+	rep.SolverStats = a.st
+	rep.ExactFallbacks = a.fallbacks
 }
 
 // Report is the outcome of one analysis run.
@@ -169,8 +184,11 @@ type Report struct {
 	Exhausted    bool           // the whole (quantized) attack space was enumerated
 	Canceled     bool           // the SMT conflict budget ran out before a verdict
 	Vector       *attack.Vector // the successful attack, when Found
-	AttackedCost float64        // operator's OPF cost under the attack, when Found (0 under VerifySMT certification)
-	Iterations   int            // attack vectors examined
+	// AttackedCost is the operator's OPF cost under the attack, when Found.
+	// It stays 0 under VerifySMT, whose verdict is a comparison against the
+	// threshold (an exact one, or the SMT model's), not a cost.
+	AttackedCost float64
+	Iterations   int // attack vectors examined
 	// ResumedIterations counts the iterations whose verification verdict was
 	// replayed from a checkpoint journal rather than recomputed.
 	ResumedIterations int
@@ -194,6 +212,12 @@ type Report struct {
 	// nothing. The arithmetic-kernel counters (Rat64FastOps vs Rat64BigOps)
 	// show how often the hybrid rationals stayed on the int64 fast path.
 	SolverStats smt.Stats
+
+	// ExactFallbacks counts the VerifySMT candidates whose OPF optimum the
+	// exact model could not certify, so the SMT feasibility model decided
+	// them; it is 0 under the other verification modes. A ladder's reports
+	// each carry the ladder-wide count.
+	ExactFallbacks int
 }
 
 // Run executes the Fig. 2 loop.
@@ -285,7 +309,7 @@ func (a *Analyzer) Run() (*Report, error) {
 		}
 		if done {
 			acc.add(model.Solver().Stats())
-			rep.SolverStats = acc.snapshot()
+			acc.fill(rep)
 			rep.Elapsed = time.Since(start)
 			return rep, nil
 		}
@@ -299,7 +323,7 @@ func (a *Analyzer) Run() (*Report, error) {
 		} else {
 			acc.add(model.Solver().Stats())
 		}
-		rep.SolverStats = acc.snapshot()
+		acc.fill(rep)
 		rep.Elapsed = time.Since(start)
 		return rep, nil
 	}
@@ -355,7 +379,7 @@ func (a *Analyzer) Run() (*Report, error) {
 		model.Block(v, a.BlockPrecision)
 	}
 	acc.add(model.Solver().Stats())
-	rep.SolverStats = acc.snapshot()
+	acc.fill(rep)
 	rep.Elapsed = time.Since(start)
 	return rep, nil
 }
@@ -646,14 +670,24 @@ func (a *Analyzer) verify(ctx context.Context, v *attack.Vector, fac *dist.Facto
 		return cost, converged && cost >= threshold, err
 
 	case VerifySMT:
-		// One OPF feasibility model answers both the Eq. 38 and the Eq. 37
-		// query: the topology/load constraints are encoded once and the two
-		// cost caps evaluated against the same solver. On the incremental
-		// path the caps are retractable assumptions; on the cold path they
-		// are permanent assertions, so the generous cap is queried first —
-		// the outcome is provably the one the original tight-then-generous
-		// order computed, since unsat at the generous cap implies unsat at
-		// the tight one (which also makes the two paths verdict-identical).
+		// The exact model answers both queries from one certified optimum.
+		em, err := a.exactModel(ctx, v)
+		if err == nil {
+			return 0, exactReached(em, threshold), nil
+		}
+		if !errors.Is(err, opf.ErrNotCertified) {
+			return 0, false, err
+		}
+		acc.addFallback()
+		// Fallback: one OPF feasibility model answers both the Eq. 38 and
+		// the Eq. 37 query: the topology/load constraints are encoded once
+		// and the two cost caps evaluated against the same solver. On the
+		// incremental path the caps are retractable assumptions; on the
+		// cold path they are permanent assertions, so the generous cap is
+		// queried first — the outcome is provably the one the original
+		// tight-then-generous order computed, since unsat at the generous
+		// cap implies unsat at the tight one (which also makes the two
+		// paths verdict-identical).
 		fm, err := opf.NewFeasibilityModel(a.Grid, v.MappedTopology, v.ObservedLoads, a.MaxConflicts, a.QueryTimeout)
 		if err != nil {
 			return 0, false, err
@@ -681,4 +715,23 @@ func (a *Analyzer) verify(ctx context.Context, v *attack.Vector, fac *dist.Facto
 	default:
 		return 0, false, fmt.Errorf("%w: unknown verify mode %v", ErrConfig, mode)
 	}
+}
+
+// exactModel certifies candidate v's OPF optimum, under the deadline of one
+// QueryTimeout like a single SMT query; on expiry the error matches
+// smt.ErrCanceled.
+func (a *Analyzer) exactModel(ctx context.Context, v *attack.Vector) (*opf.ExactModel, error) {
+	if a.QueryTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, a.QueryTimeout)
+		defer cancel()
+	}
+	return opf.NewExactModel(ctx, a.Grid, v.MappedTopology, v.ObservedLoads)
+}
+
+// exactReached is the Eq. 38 / Eq. 37 pair on a certified optimum: OPF
+// converges for a generous budget while no dispatch stays below the
+// threshold itself.
+func exactReached(em *opf.ExactModel, threshold float64) bool {
+	return em.CostBelow(threshold*10) && !em.CostBelow(threshold)
 }

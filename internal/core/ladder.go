@@ -27,10 +27,12 @@ import (
 //   - Under VerifyLP / VerifyShift one exact OPF solve per candidate yields
 //     the post-attack minimum cost, which is compared against every rung's
 //     threshold for free.
-//   - Under VerifySMT one feasibility model per candidate — built on a
-//     ladder-wide shared expression builder, so structurally common
-//     constraints are constructed once — answers every rung's Eq. 38/37
-//     query pair through retractable assumption literals (see
+//   - Under VerifySMT one exact model per candidate (opf.NewExactModel)
+//     certifies the exact OPF optimum, which answers every rung's Eq. 38/37
+//     query pair. Only a candidate it cannot certify builds a feasibility
+//     model — on a ladder-wide shared expression builder, so structurally
+//     common constraints are constructed once — that answers the open
+//     rungs through retractable assumption literals (see
 //     opf.FeasibilityModel.Incremental), reusing the solver's learned
 //     clauses and simplex state across rungs.
 //
@@ -148,7 +150,7 @@ func (a *Analyzer) runLadderIncremental(targets []float64) ([]*Report, error) {
 		return out
 	}
 
-	// vb is the ladder-wide expression builder: every per-candidate
+	// vb is the ladder-wide expression builder: every fallback SMT
 	// verification model interns its constraints through it, so nodes (and
 	// their lowered formulas) common across candidates are built once.
 	vb := expr.NewBuilder()
@@ -202,11 +204,10 @@ func (a *Analyzer) runLadderIncremental(targets []float64) ([]*Report, error) {
 	}
 
 	acc.add(model.Solver().Stats())
-	st := acc.snapshot()
 	elapsed := time.Since(start)
 	reports := make([]*Report, len(rungs))
 	for i, r := range rungs {
-		r.rep.SolverStats = st
+		acc.fill(r.rep)
 		r.rep.Elapsed = elapsed
 		reports[i] = r.rep
 	}
@@ -238,6 +239,35 @@ func (a *Analyzer) ladderVerify(ctx context.Context, mode VerifyMode, v *attack.
 		return nil
 
 	case VerifySMT:
+		// One exact model answers every open rung; a candidate it cannot
+		// certify falls back to the shared-builder SMT model below.
+		t0 := time.Now()
+		em, err := a.exactModel(ctx, v)
+		vt := time.Since(t0)
+		for _, r := range open {
+			r.rep.VerifyTime += vt
+		}
+		if errors.Is(err, smt.ErrCanceled) {
+			for _, r := range open {
+				r.rep.Canceled = true
+				r.resolved = true
+			}
+			return nil
+		}
+		if err == nil {
+			for _, r := range open {
+				if exactReached(em, r.rep.Threshold) {
+					r.rep.Found = true
+					r.rep.Vector = v
+					r.resolved = true
+				}
+			}
+			return nil
+		}
+		if !errors.Is(err, opf.ErrNotCertified) {
+			return err
+		}
+		acc.addFallback()
 		fm, err := opf.NewFeasibilityModelShared(vb, a.Grid, v.MappedTopology, v.ObservedLoads, a.MaxConflicts, a.QueryTimeout)
 		if err != nil {
 			return err

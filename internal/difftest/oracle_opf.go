@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -334,6 +335,41 @@ func checkOPF(sys *System) string {
 			if relDiff(sol.Cost, oc) > 1e-6 {
 				return fmt.Sprintf("opf cost mismatch: solver %.9f vs oracle %.9f (topology %v)", sol.Cost, oc, t.Lines())
 			}
+			if msg := checkExactOPF(g, t, oc); msg != "" {
+				return msg
+			}
+		}
+	}
+	return ""
+}
+
+// checkExactOPF cross-validates the exact model on a topology where the
+// float LP found an optimum: the certified optimum plus the fixed costs must
+// match the oracle's cost oc within 1e-9 relative (the oracle reads floats
+// exactly, the model through smt.RatFromFloat), and CostBelow must give the
+// SMT feasibility model's answer at caps just above, just below and at the
+// nearest float to the exact optimum.
+func checkExactOPF(g *grid.Grid, t grid.Topology, oc float64) string {
+	em, err := opf.NewExactModel(context.Background(), g, t, nil)
+	if err != nil {
+		return fmt.Sprintf("exact model refused a float-optimal OPF: %v (topology %v)", err, t.Lines())
+	}
+	var alpha float64
+	for _, gen := range g.Generators {
+		alpha += gen.Alpha
+	}
+	exact := new(big.Rat).Add(em.Optimum(), ratFromFloat(alpha))
+	cost, _ := exact.Float64()
+	if relDiff(cost, oc) > 1e-9 {
+		return fmt.Sprintf("exact optimum %.12f vs oracle %.12f (topology %v)", cost, oc, t.Lines())
+	}
+	for _, c := range []float64{cost * (1 + 1e-6), cost * (1 - 1e-6), cost} {
+		feasible, _, err := opf.FeasibleWithin(g, t, nil, c, 0)
+		if err != nil {
+			return fmt.Sprintf("opf.FeasibleWithin error: %v", err)
+		}
+		if below := em.CostBelow(c); below != feasible {
+			return fmt.Sprintf("exact CostBelow(%v) = %t, SMT model says %t (topology %v)", c, below, feasible, t.Lines())
 		}
 	}
 	return ""

@@ -129,13 +129,44 @@ func (p *Problem) AddConstraint(terms []Term, sense Sense, rhs float64) {
 	p.cons = append(p.cons, constraint{terms: ts, sense: sense, rhs: rhs})
 }
 
+// NumVariables returns the number of decision variables.
+func (p *Problem) NumVariables() int { return len(p.lower) }
+
+// Variable returns variable j's bounds and objective coefficient.
+func (p *Problem) Variable(j int) (lo, hi, cost float64) {
+	return p.lower[j], p.upper[j], p.cost[j]
+}
+
+// NumConstraints returns the number of constraint rows.
+func (p *Problem) NumConstraints() int { return len(p.cons) }
+
+// Constraint returns row i as added; the terms slice must not be modified.
+func (p *Problem) Constraint(i int) (terms []Term, sense Sense, rhs float64) {
+	c := p.cons[i]
+	return c.terms, c.sense, c.rhs
+}
+
 // Solution is the result of a solve.
 type Solution struct {
 	Status    Status
 	Objective float64
 	X         []float64 // values of the structural variables
 	Pivots    int       // simplex basis changes performed by this solve
+
+	// Basis is the final basis of an Optimal solve: Basis[i] is the column
+	// basic in row i. Columns are numbered structural first, then one slack
+	// per inequality row (in row order; +1 in its row, [0, +Inf) for <= and
+	// (-Inf, 0] for >=), then one artificial per row (fixed at 0 after
+	// phase 1). A nonbasic column sits at its upper bound when AtUpper says
+	// so, else at its lower bound, or at 0 when it has neither.
+	Basis []int
+
+	status []varStatus // the tableau's per-column status; nil unless Optimal
 }
 
 // Value returns the solved value of variable v.
 func (s *Solution) Value(v int) float64 { return s.X[v] }
+
+// AtUpper reports whether nonbasic column j of an Optimal solution sits at
+// its upper bound.
+func (s *Solution) AtUpper(j int) bool { return s.status[j] == statusAtUpper }

@@ -201,7 +201,7 @@ func (t *tableau) extract(p *Problem) *Solution {
 	for j := 0; j < nStruct; j++ {
 		obj += p.cost[j] * x[j]
 	}
-	return &Solution{Status: Optimal, Objective: obj, X: x, Pivots: t.pivots}
+	return &Solution{Status: Optimal, Objective: obj, X: x, Pivots: t.pivots, Basis: t.basis, status: t.status}
 }
 
 // values returns the current value of every variable.
