@@ -14,6 +14,7 @@ import (
 	"gridattack/internal/core"
 	"gridattack/internal/dist"
 	"gridattack/internal/linalg/sparse"
+	"gridattack/internal/opf"
 )
 
 // BenchmarkExclusionScreen measures the end-to-end economic exclusion screen
@@ -38,6 +39,34 @@ func BenchmarkExclusionScreen(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkOPFSolve300 measures one cold angle-formulation OPF solve on
+// synth300's true topology, the dense simplex's scale wall: the LP behind
+// every synth300 baseline and LP verification. pivots/op counts the simplex
+// basis changes of that LP, solved once directly.
+func BenchmarkOPFSolve300(b *testing.B) {
+	c, err := cases.ByName("synth300")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, topo := c.Grid, c.Grid.TrueTopology()
+	p, err := opf.AngleLP(g, topo, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sol, err := p.Solve()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := opf.Solve(g, topo, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(sol.Pivots), "pivots/op")
 }
 
 // BenchmarkSparseSubstrate1354 measures the sparse numeric substrate on the

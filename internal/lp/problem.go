@@ -11,25 +11,45 @@
 // Bland's anti-cycling fallback is simple, robust, and fast enough.
 //
 // The tableau is stored dense but is mostly zeros: a 118-bus OPF pivot row
-// averages about a third nonzero. The kernel skips the work that cannot
-// change a value:
+// averages about a third nonzero. The kernel skips the arithmetic whose
+// result is never read or cannot change a value:
 //
-//   - the sparse-row pivot collects the scaled pivot row's nonzero columns
-//     once and eliminates only those, in only the rows whose pivot-column
-//     entry is nonzero;
-//   - pricing computes reduced costs only for the candidate columns that
-//     can enter (nonbasic and not fixed, free ones included), each with the
-//     same expression and row order as a full pricing, and the entering
-//     rule walks them in ascending column order, so Dantzig's and Bland's
-//     rules pick what a full scan would.
+//   - the sparse-row pivot collects the scaled pivot row's nonzeros, column
+//     next to value, and eliminates only those (unrolled by four), in only
+//     the rows whose pivot-column entry is nonzero;
+//   - pricing is incremental. Each phase keeps every column's reduced cost;
+//     its first pricing is full, a pivot re-prices only the columns where
+//     the scaled pivot row is nonzero, and a bound flip re-prices nothing.
+//     A re-priced d_j is c_j minus c_B(i)*a_ij over the basis rows in order,
+//     skipping zero c_B(i): the full pricing's operations in the same
+//     order. A column outside the pivot row's nonzeros keeps every tableau
+//     entry, and the one term of its sum that changes is the pivot row's, a
+//     product with a zero both before and after the pivot; so its d_j keeps
+//     its nonzero bits, and only a zero's sign can differ. (The exception, a
+//     subnormal entry that scaling rounds to zero, drops a term vanishingly
+//     small beside costTol.) The leaving column is always re-priced, since
+//     its pivot-row entry becomes 1/pivot. The entering rule reads d only
+//     through |d_j| > costTol and, once that holds, its sign, and it walks
+//     the columns that can enter (nonbasic and not fixed, free ones
+//     included) in ascending order, so Dantzig's and Bland's rules pick what
+//     a full pricing would;
+//   - phase 2 leaves the artificial columns alone. Phase 1 pins them at 0,
+//     and nothing reads their columns again: pricing skips fixed columns,
+//     so an artificial never enters; the ratio test reads only the entering
+//     column; the solution comes from the basic and nonbasic values, the
+//     basis and the column statuses; and a basis certificate is Basis and
+//     AtUpper. Phase 1 must keep them current, because artificials re-enter
+//     the basis there.
 //
-// Bit-identity contract: every status, pivot count, objective and nonzero
-// solution value is the IEEE-754 result of the full dense kernel. A skipped
-// update is x - f*0, which is x itself, except that a zero x may come out
-// with the other sign; a zero's sign reaches only tolerance comparisons and
-// other zeros, never a nonzero value or a pivot choice. The golden test in
-// internal/opf pins the result bits, zero signs included, on a fixed corpus
-// of OPF solves.
+// Bit-identity contract: every status, pivot count, objective, nonzero
+// solution value and final basis is the IEEE-754 result of the full dense
+// kernel. A skipped update is x - f*0, which is x itself, except that a
+// zero x may come out with the other sign; a zero's sign reaches only
+// tolerance comparisons and other zeros, never a nonzero value or a pivot
+// choice. The golden test in internal/opf pins the result bits, zero signs
+// included, and the final basis, on a fixed corpus of OPF solves and seeded
+// random LPs that reach bound flips in both phases, free columns entering,
+// artificials leaving in phase 2, and infeasible and unbounded outcomes.
 package lp
 
 import (

@@ -35,11 +35,21 @@ type tableau struct {
 	nonbas []float64 // current value of each variable when nonbasic
 	pivots int       // basis changes performed (diagnostic counter)
 
-	// Scratch sized once per tableau: the columns that may enter and their
-	// reduced costs (reducedCosts), and the pivot row's nonzeros (pivot).
-	cand []int
-	d    []float64
-	nz   []int
+	// live is the number of leading columns that pricing and pivoting keep
+	// current: all n in phase 1, only those below the first artificial in
+	// phase 2, which never reads the pinned artificials' columns.
+	live int
+
+	// Scratch sized once per tableau: every column's reduced cost as of its
+	// last pricing (d), and the last scaled pivot row's nonzeros (nz).
+	d  []float64
+	nz []nonzero
+}
+
+// nonzero is one entry of a scaled pivot row: its column and value.
+type nonzero struct {
+	j int
+	v float64
 }
 
 // Solve runs two-phase simplex from scratch and returns the solution.
@@ -78,9 +88,9 @@ func (p *Problem) Solve() (*Solution, error) {
 		lower:  make([]float64, n),
 		upper:  make([]float64, n),
 		nonbas: make([]float64, n),
-		cand:   make([]int, 0, n),
+		live:   n,
 		d:      make([]float64, n),
-		nz:     make([]int, 0, n),
+		nz:     make([]nonzero, 0, n),
 	}
 	for i := range t.a {
 		t.a[i] = make([]float64, n)
@@ -153,21 +163,22 @@ func (p *Problem) Solve() (*Solution, error) {
 	}
 
 	// Phase 1: minimize the sum of artificials.
-	phase1 := make([]float64, n)
+	cost := make([]float64, n)
 	for i := 0; i < m; i++ {
-		phase1[artIdx+i] = 1
+		cost[artIdx+i] = 1
 	}
-	st, err := t.iterate(phase1)
+	st, err := t.iterate(cost)
 	if err != nil {
 		return nil, err
 	}
 	if st == Unbounded {
 		return nil, fmt.Errorf("lp: phase 1 unbounded (internal error)")
 	}
-	if t.objective(phase1) > feasTol {
+	if t.objective(cost) > feasTol {
 		return &Solution{Status: Infeasible}, nil
 	}
-	// Pin artificials to zero so phase 2 cannot reuse them.
+	// Pin artificials to zero so phase 2 cannot reuse them. Nothing reads
+	// their columns from here on, so phase 2 stops updating them.
 	for i := 0; i < m; i++ {
 		art := artIdx + i
 		t.upper[art] = 0
@@ -176,11 +187,12 @@ func (p *Problem) Solve() (*Solution, error) {
 			t.nonbas[art] = 0
 		}
 	}
+	t.live = artIdx
 
 	// Phase 2: minimize the real objective.
-	phase2 := make([]float64, n)
-	copy(phase2, p.cost)
-	st, err = t.iterate(phase2)
+	clear(cost)
+	copy(cost, p.cost)
+	st, err = t.iterate(cost)
 	if err != nil {
 		return nil, err
 	}
@@ -226,77 +238,80 @@ func (t *tableau) objective(cost []float64) float64 {
 	return s
 }
 
-// reducedCosts computes d_j = c_j - c_B' * (B^-1 A)_j for the columns that
-// can enter the basis: nonbasic and not fixed (free columns included). It
-// returns those columns in ascending order with d[k] belonging to cand[k];
-// each d[k] sees the same operations in the same order as a full pricing.
-func (t *tableau) reducedCosts(cost []float64) (cand []int, d []float64) {
-	cand = t.cand[:0]
-	for j, s := range t.status {
-		if s != statusBasic && t.lower[j] < t.upper[j] {
-			cand = append(cand, j)
-		}
-	}
-	t.cand = cand
-	d = t.d[:len(cand)]
-	for k, j := range cand {
-		d[k] = cost[j]
+// price sets d[j] = c_j - c_B' * (B^-1 A)_j for the column j of each entry
+// of cols, walking the basis rows in order and skipping rows whose basic
+// cost is 0, so d[j] does not depend on which other columns are priced.
+func (t *tableau) price(cost []float64, cols []nonzero) {
+	d := t.d
+	for _, c := range cols {
+		d[c.j] = cost[c.j]
 	}
 	for i, b := range t.basis {
 		cb := cost[b]
 		if cb == 0 {
 			continue
 		}
-		row := t.a[i]
-		for k, j := range cand {
-			d[k] -= cb * row[j]
+		row := t.a[i][:len(d)]
+		for _, c := range cols {
+			d[c.j] -= cb * row[c.j]
 		}
 	}
-	return cand, d
 }
 
 // iterate runs simplex iterations for the given cost vector until optimality
-// or unboundedness.
+// or unboundedness. The first pricing covers every live column; after that
+// a pivot re-prices only the columns where its scaled row is nonzero, and a
+// bound flip re-prices nothing (see the package comment).
 func (t *tableau) iterate(cost []float64) (Status, error) {
+	all := t.nz[:t.live]
+	for j := range all {
+		all[j] = nonzero{j: j}
+	}
+	t.price(cost, all)
 	maxIter := maxIterMult * (t.m + t.n)
 	for iter := 0; ; iter++ {
 		if iter > maxIter {
 			return 0, fmt.Errorf("lp: iteration limit exceeded (%d iterations, %d rows, %d cols)", iter, t.m, t.n)
 		}
 		bland := iter > blandAfter
-		cand, d := t.reducedCosts(cost)
 
-		// Entering variable selection, in ascending column order.
+		// Entering variable selection among the columns that can enter
+		// (nonbasic and not fixed, free ones included), in ascending order.
 		enter, dir := -1, 0.0
 		bestScore := costTol
-		for k, j := range cand {
+		for j, dj := range t.d[:t.live] {
+			if !(t.lower[j] < t.upper[j]) {
+				continue
+			}
 			var improving bool
-			var dj float64
+			var step float64
 			switch t.status[j] {
+			case statusBasic:
+				continue
 			case statusAtLower:
-				improving = d[k] < -costTol
-				dj = 1
+				improving = dj < -costTol
+				step = 1
 			case statusAtUpper:
-				improving = d[k] > costTol
-				dj = -1
+				improving = dj > costTol
+				step = -1
 			default: // statusFree
-				improving = math.Abs(d[k]) > costTol
-				if d[k] > 0 {
-					dj = -1
+				improving = math.Abs(dj) > costTol
+				if dj > 0 {
+					step = -1
 				} else {
-					dj = 1
+					step = 1
 				}
 			}
 			if !improving {
 				continue
 			}
 			if bland {
-				enter, dir = j, dj
+				enter, dir = j, step
 				break
 			}
-			if score := math.Abs(d[k]); score > bestScore {
+			if score := math.Abs(dj); score > bestScore {
 				bestScore = score
-				enter, dir = j, dj
+				enter, dir = j, step
 			}
 		}
 		if enter < 0 {
@@ -380,22 +395,24 @@ func (t *tableau) iterate(cost []float64) (Status, error) {
 		t.basis[leaveRow] = enter
 		t.status[enter] = statusBasic
 		t.xB[leaveRow] = enterVal
+		t.price(cost, t.nz)
 	}
 }
 
-// pivot performs Gauss-Jordan elimination so column `col` becomes the unit
-// vector for row `row`. It updates only the scaled pivot row's nonzero
-// columns, in only the rows whose col entry is nonzero: the skipped
-// ri[j] -= f*0 could at most change the sign of a zero ri[j].
+// pivot performs Gauss-Jordan elimination over the live columns so column
+// `col` becomes the unit vector for row `row`. It collects the scaled pivot
+// row's nonzeros (t.nz) and updates only those columns, in only the rows
+// whose col entry is nonzero: the skipped ri[j] -= f*0 could at most change
+// the sign of a zero ri[j].
 func (t *tableau) pivot(row, col int) {
-	pr := t.a[row]
+	pr := t.a[row][:t.live]
 	inv := 1 / pr[col]
 	nz := t.nz[:0]
 	for j, v := range pr {
 		v *= inv
 		pr[j] = v
 		if v != 0 {
-			nz = append(nz, j)
+			nz = append(nz, nonzero{j, v})
 		}
 	}
 	t.nz = nz
@@ -405,8 +422,18 @@ func (t *tableau) pivot(row, col int) {
 		if i == row || f == 0 {
 			continue
 		}
-		for _, j := range nz {
-			ri[j] -= f * pr[j]
+		// Unrolled by four; each element gets its one update f*v. The
+		// col entry's update is overwritten below.
+		e := nz
+		for len(e) >= 4 {
+			ri[e[0].j] -= f * e[0].v
+			ri[e[1].j] -= f * e[1].v
+			ri[e[2].j] -= f * e[2].v
+			ri[e[3].j] -= f * e[3].v
+			e = e[4:]
+		}
+		for _, x := range e {
+			ri[x.j] -= f * x.v
 		}
 		ri[col] = 0
 	}

@@ -64,6 +64,40 @@ func (d *goldenDigest) lp(sol *lp.Solution, err error) {
 	d.floats(sol.X)
 }
 
+// basis digests the certificate lpcert checks: an Optimal solution's final
+// basis and the bound side of each of p's n columns (false for basic ones).
+func (d *goldenDigest) basis(n int, sol *lp.Solution, err error) {
+	if err != nil {
+		d.err(err)
+		return
+	}
+	d.int(int(sol.Status))
+	if sol.Status != lp.Optimal {
+		return
+	}
+	d.int(len(sol.Basis))
+	for _, b := range sol.Basis {
+		d.int(b)
+	}
+	for j := 0; j < n; j++ {
+		if sol.AtUpper(j) {
+			d.int(j)
+		}
+	}
+}
+
+// numColumns is the simplex's column count for p: structural, one slack per
+// inequality row, one artificial per row.
+func numColumns(p *lp.Problem) int {
+	n := p.NumVariables() + p.NumConstraints()
+	for i := 0; i < p.NumConstraints(); i++ {
+		if _, sense, _ := p.Constraint(i); sense != lp.EQ {
+			n++
+		}
+	}
+	return n
+}
+
 func (d *goldenDigest) opf(sol *Solution, err error) {
 	if err != nil {
 		d.err(err)
@@ -123,8 +157,9 @@ func goldenLoads(g *grid.Grid, rng *rand.Rand, count int) [][]float64 {
 }
 
 // goldenAngleEntries solves every (topology, loads) pair of one system
-// through opf.Solve. Each entry digests the LP solution of the identical
-// problem next to the OPF result, since opf.Solve hides the raw LP fields.
+// through opf.Solve. Each /solve entry digests the LP solution of the
+// identical problem next to the OPF result, since opf.Solve hides the raw LP
+// fields; each /basis entry digests that LP's final basis.
 func goldenAngleEntries(t *testing.T, name string, seed int64, topoCount, loadCount int) []goldenEntry {
 	t.Helper()
 	c, err := cases.ByName(name)
@@ -144,9 +179,13 @@ func goldenAngleEntries(t *testing.T, name string, seed int64, topoCount, loadCo
 			if err != nil {
 				t.Fatalf("%s: %v", prefix, err)
 			}
-			cold.lp(p.Solve())
+			sol, err := p.Solve()
+			cold.lp(sol, err)
 			cold.opf(Solve(g, topo, loads))
 			out = append(out, goldenEntry{prefix + "/solve", cold.sum()})
+			var basis goldenDigest
+			basis.basis(numColumns(p), sol, err)
+			out = append(out, goldenEntry{prefix + "/basis", basis.sum()})
 		}
 	}
 	return out
@@ -194,10 +233,92 @@ func goldenCorpus(t *testing.T) []goldenEntry {
 		out = append(out, goldenEntry{fmt.Sprintf("ieee14/shift/outage%d", outage), d.sum()})
 	}
 
-	var km goldenDigest
-	km.lp(kleeMinty(12).Solve())
-	out = append(out, goldenEntry{"kleeminty12", km.sum()})
+	var km, kmBasis goldenDigest
+	p := kleeMinty(12)
+	sol, err := p.Solve()
+	km.lp(sol, err)
+	kmBasis.basis(numColumns(p), sol, err)
+	out = append(out, goldenEntry{"kleeminty12", km.sum()}, goldenEntry{"kleeminty12/basis", kmBasis.sum()})
+
+	for k := 0; k < randomLPs; k++ {
+		var d goldenDigest
+		p := randomLP(rand.New(rand.NewSource(int64(k + 1))))
+		sol, err := p.Solve()
+		d.lp(sol, err)
+		d.basis(numColumns(p), sol, err)
+		out = append(out, goldenEntry{fmt.Sprintf("random/%02d", k), d.sum()})
+	}
 	return out
+}
+
+// randomLPs is the number of seeded random/NN entries in the corpus.
+const randomLPs = 128
+
+// randomLP builds a small LP that reaches the simplex branches the OPF
+// corpus misses. Columns are boxed, one-sided, free or fixed; rows are EQ,
+// LE and GE with integer data. Most rows pass through a seeded point that
+// often sits where the simplex starts, so many artificials start at 0 and
+// some stay basic at 0 into phase 2; duplicated equality rows add
+// redundant ones. An occasional row that the point violates makes some LPs
+// infeasible, and free or one-sided columns with a cost make some unbounded.
+func randomLP(rng *rand.Rand) *lp.Problem {
+	p := lp.NewProblem()
+	nVars := 3 + rng.Intn(6)
+	x0 := make([]float64, nVars)
+	for j := range x0 {
+		lo := float64(rng.Intn(5) - 2)
+		hi := lo + float64(1+rng.Intn(3))
+		start := lo // where the simplex places the column
+		if math.Abs(hi) < math.Abs(lo) {
+			start = hi
+		}
+		switch rng.Intn(5) {
+		case 0:
+			lo, start = math.Inf(-1), hi
+		case 1:
+			hi, start = math.Inf(1), lo
+		case 2:
+			lo, hi, start = math.Inf(-1), math.Inf(1), 0
+		case 3:
+			if rng.Intn(3) == 0 {
+				hi, start = lo, lo
+			}
+		}
+		x0[j] = start
+		if rng.Intn(2) == 0 {
+			x0[j] = math.Max(lo, math.Min(hi, start+float64(rng.Intn(3)-1)))
+		}
+		p.AddVariable(lo, hi, float64(rng.Intn(11)-5), fmt.Sprintf("x%d", j))
+	}
+	nRows := 2 + rng.Intn(6)
+	for i := 0; i < nRows; i++ {
+		var terms []lp.Term
+		rhs := 0.0
+		for j := 0; j < nVars; j++ {
+			if rng.Intn(3) > 0 {
+				c := float64(rng.Intn(9) - 4)
+				terms = append(terms, lp.Term{Var: j, Coeff: c})
+				rhs += c * x0[j]
+			}
+		}
+		sense := []lp.Sense{lp.LE, lp.EQ, lp.GE}[rng.Intn(3)]
+		if rng.Intn(2) == 0 {
+			switch sense {
+			case lp.LE:
+				rhs += float64(1 + rng.Intn(3))
+			case lp.GE:
+				rhs -= float64(1 + rng.Intn(3))
+			}
+		}
+		if rng.Intn(10) == 0 { // a row the seeded point violates
+			rhs, sense = rhs+float64(1+rng.Intn(3)), lp.GE
+		}
+		p.AddConstraint(terms, sense, rhs)
+		if sense == lp.EQ && rng.Intn(2) == 0 {
+			p.AddConstraint(terms, sense, rhs)
+		}
+	}
+	return p
 }
 
 // readGolden returns the recorded digests by entry name, or nil when the
@@ -223,9 +344,10 @@ func readGolden(t *testing.T) map[string]string {
 }
 
 // TestLPGoldenDigests: every LP result of the corpus — angle-formulation
-// OPF on five systems, shift-factor OPF under single-line outages, and a
-// Klee-Minty cube that forces Bland's rule — matches the recorded IEEE-754
-// bits exactly.
+// OPF on five systems, shift-factor OPF under single-line outages, a
+// Klee-Minty cube that forces Bland's rule, and seeded random LPs — matches
+// the recorded IEEE-754 bits exactly, and so does the final basis of every
+// LP solved directly.
 func TestLPGoldenDigests(t *testing.T) {
 	// Go fuses a*b+c into one rounding on arm64, ppc64, riscv64, s390x and
 	// loong64 but never on amd64, where the digests were recorded.

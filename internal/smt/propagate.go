@@ -26,11 +26,15 @@ type rowBounds struct {
 	loFarkas   []*big.Rat
 }
 
-// deriveRowBounds computes both implied bounds of basic variable b's row.
+// deriveRowBounds computes both implied bounds of basic variable b's row
+// into the solver's scratch, which the next call overwrites; propagateLit
+// copies the premises it keeps.
 func (s *Solver) deriveRowBounds(b int) *rowBounds {
 	sp := s.simp
 	row := &sp.rows[b]
-	rb := &rowBounds{upOK: true, loOK: true, up: d64FromInt(0), lo: d64FromInt(0)}
+	rb := &s.rowScratch
+	*rb = rowBounds{upOK: true, loOK: true, up: d64FromInt(0), lo: d64FromInt(0),
+		upLits: rb.upLits[:0], loLits: rb.loLits[:0], upFarkas: rb.upFarkas[:0], loFarkas: rb.loFarkas[:0]}
 	certify := s.Certify
 	for i, jc := range row.cols {
 		j := int(jc)

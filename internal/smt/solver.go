@@ -114,8 +114,9 @@ type Solver struct {
 	// harness uses this to prove it on the seeded sweep.
 	ForceBigRat bool
 
-	theoryProps int64  // implied atom literals pushed into the SAT core
-	lastPropRev uint64 // simplex boundRev at the last propagation round
+	theoryProps int64     // implied atom literals pushed into the SAT core
+	lastPropRev uint64    // simplex boundRev at the last propagation round
+	rowScratch  rowBounds // reused by every deriveRowBounds call
 
 	// MaxConflicts bounds the search effort per Check call; 0 means
 	// unlimited. When exceeded, Check returns an error matching both
