@@ -59,7 +59,6 @@ func run(args []string, stdout io.Writer) error {
 		operating  = fs.String("operating", "", "pre-attack generation dispatch as comma-separated per-bus values (default: the OPF optimum)")
 		parallel   = fs.Int("parallel", 0, "worker goroutines for the analysis: 0 = all CPUs, 1 = sequential; verdicts are identical at every setting")
 		certify    = fs.Bool("certify", false, "check an independent certificate for every SMT verdict before trusting it")
-		noIncr     = fs.Bool("no-incremental", false, "disable the incremental (assumption-based) encoding and rebuild solver state cold for every query")
 		budget     = fs.String("budget", "", "per-query solver budget as key=value pairs: conflicts=N, pivots=N, time=DURATION (e.g. conflicts=500000,time=30s)")
 		checkpoint = fs.String("checkpoint", "", "journal file for crash-resumable analysis; rerunning the same configuration resumes where the previous run stopped")
 		verbose    = fs.Bool("v", false, "print solver effort counters (pivots, propagations, arithmetic fast-path split, exact OPF fallbacks) after the run")
@@ -115,7 +114,6 @@ func run(args []string, stdout io.Writer) error {
 		MaxIterations:         *maxIter,
 		Parallelism:           *parallel,
 		Certify:               *certify,
-		NoIncremental:         *noIncr,
 		CheckpointPath:        *checkpoint,
 	}
 	if *budget != "" {

@@ -116,16 +116,8 @@ type Analyzer struct {
 	// process-wide with the GRIDATTACK_CERTIFY environment variable.
 	Certify bool
 
-	// NoIncremental forces the cold (assertion-based) SMT encoding path:
-	// under VerifySMT every fallback verification model (one the exact
-	// model could not certify) asserts its cost caps permanently instead of
-	// passing them as retractable assumptions, and RunLadder falls back to
-	// one independent full Run per rung instead of sharing the candidate
-	// search across rungs. Verdicts are identical either way (see DESIGN.md,
-	// "Expression layer & incremental search"); the knob exists for A/B
-	// validation, benchmarking, and as an escape hatch. Enabling Certify
-	// implies the cold path, because an unsat-under-assumptions verdict
-	// carries no checkable certificate.
+	// NoIncremental is ignored: every analysis runs the same search. It is
+	// read only by bench/gridbench.
 	NoIncremental bool
 
 	// CheckpointPath enables crash-resumable analysis: every completed
@@ -229,43 +221,12 @@ func (a *Analyzer) Run() (*Report, error) {
 	if a.TargetIncreasePercent <= 0 {
 		return nil, fmt.Errorf("%w: target increase must be positive", ErrConfig)
 	}
-	maxIter := a.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 200
-	}
-
-	trueTopo := a.Grid.TrueTopology()
-	base, err := opf.Solve(a.Grid, trueTopo, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: attack-free OPF: %w", err)
-	}
-	threshold := base.Cost * (1 + a.TargetIncreasePercent/100)
-
-	dispatch := a.OperatingDispatch
-	if dispatch == nil {
-		dispatch = base.Dispatch
-	}
-	pf, err := a.Grid.SolvePowerFlow(trueTopo, dispatch)
-	if err != nil {
-		return nil, fmt.Errorf("core: operating point: %w", err)
-	}
-
-	model, err := attack.NewModel(a.Grid, a.Plan, a.Capability, pf)
+	maxIter := a.maxIterations()
+	base, model, fac, err := a.setup()
 	if err != nil {
 		return nil, err
 	}
-	model.MaxConflicts = a.MaxConflicts
-	model.MaxDuration = a.QueryTimeout
-	model.MaxPivots = a.MaxPivots
-	model.Certify = a.Certify
-
-	var fac *dist.Factors
-	if a.Verify == VerifyShift {
-		fac, err = dist.New(a.Grid, trueTopo)
-		if err != nil {
-			return nil, fmt.Errorf("core: shift factors: %w", err)
-		}
-	}
+	threshold := base.Cost * (1 + a.TargetIncreasePercent/100)
 
 	par := a.Parallelism
 	if par == 0 {
@@ -297,7 +258,7 @@ func (a *Analyzer) Run() (*Report, error) {
 		}
 		if !done && len(recs) > 0 {
 			var reverify func(*attack.Vector) (float64, bool, error)
-			if a.Verify == 0 || a.Verify == VerifyLP {
+			if a.verifyMode() == VerifyLP {
 				reverify = func(v *attack.Vector) (float64, bool, error) {
 					return a.verify(context.Background(), v, fac, threshold, 1, acc)
 				}
@@ -384,39 +345,72 @@ func (a *Analyzer) Run() (*Report, error) {
 	return rep, nil
 }
 
-// incremental reports whether this analysis uses the assumption-based
-// (incremental) SMT encoding for verification cost caps. Certify forces the
-// cold path — whether set on this analyzer or process-wide (the
-// GRIDATTACK_CERTIFY lane) — because relative unsat verdicts carry no
-// certificate.
-func (a *Analyzer) incremental() bool {
-	return !a.NoIncremental && !a.Certify && !smt.CertifyDefault()
+// verifyMode is a.Verify with its default applied.
+func (a *Analyzer) verifyMode() VerifyMode {
+	if a.Verify == 0 {
+		return VerifyLP
+	}
+	return a.Verify
 }
 
-// encodingName is the journal fingerprint of the encoding path.
-func (a *Analyzer) encodingName() string {
-	if a.incremental() {
-		return "incremental"
+// maxIterations is a.MaxIterations with its default applied.
+func (a *Analyzer) maxIterations() int {
+	if a.MaxIterations <= 0 {
+		return 200
 	}
-	return "cold"
+	return a.MaxIterations
+}
+
+// setup prepares what Run and RunLadder share before the Fig. 2 loop: the
+// attack-free OPF optimum, the attack model at the operating point with the
+// per-query budgets and Certify, and the shift factors VerifyShift needs
+// (nil otherwise).
+func (a *Analyzer) setup() (*opf.Solution, *attack.Model, *dist.Factors, error) {
+	trueTopo := a.Grid.TrueTopology()
+	base, err := opf.Solve(a.Grid, trueTopo, nil)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: attack-free OPF: %w", err)
+	}
+	dispatch := a.OperatingDispatch
+	if dispatch == nil {
+		dispatch = base.Dispatch
+	}
+	pf, err := a.Grid.SolvePowerFlow(trueTopo, dispatch)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: operating point: %w", err)
+	}
+
+	model, err := attack.NewModel(a.Grid, a.Plan, a.Capability, pf)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	model.MaxConflicts = a.MaxConflicts
+	model.MaxDuration = a.QueryTimeout
+	model.MaxPivots = a.MaxPivots
+	model.Certify = a.Certify
+
+	var fac *dist.Factors
+	if a.Verify == VerifyShift {
+		fac, err = dist.New(a.Grid, trueTopo)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("core: shift factors: %w", err)
+		}
+	}
+	return base, model, fac, nil
 }
 
 // journalConfig builds the configuration fingerprint stored in (and checked
 // against) a checkpoint journal's header.
 func (a *Analyzer) journalConfig(baseline, threshold float64, maxIter int) JournalConfig {
-	mode := a.Verify
-	if mode == 0 {
-		mode = VerifyLP
-	}
 	return JournalConfig{
-		Encoding:              a.encodingName(),
+		Encoding:              certEncoding(a.Certify || smt.CertifyDefault()),
 		Buses:                 a.Grid.NumBuses(),
 		Lines:                 a.Grid.NumLines(),
 		BaselineCost:          baseline,
 		Threshold:             threshold,
 		TargetPercent:         a.TargetIncreasePercent,
 		MaxIterations:         maxIter,
-		VerifyMode:            int(mode),
+		VerifyMode:            int(a.verifyMode()),
 		BlockPrecision:        a.BlockPrecision,
 		MaxMeasurements:       a.Capability.MaxMeasurements,
 		MaxBuses:              a.Capability.MaxBuses,
@@ -660,11 +654,7 @@ func (a *Analyzer) runPipelined(rep *Report, model *attack.Model, fac *dist.Fact
 // converges (Eq. 38: the attacker avoids non-convergent outcomes). par is
 // the solver-portfolio width for the SMT backend (<= 1 = sequential).
 func (a *Analyzer) verify(ctx context.Context, v *attack.Vector, fac *dist.Factors, threshold float64, par int, acc *statsAcc) (float64, bool, error) {
-	mode := a.Verify
-	if mode == 0 {
-		mode = VerifyLP
-	}
-	switch mode {
+	switch mode := a.verifyMode(); mode {
 	case VerifyLP, VerifyShift:
 		cost, converged, err := a.opfCost(mode, v, fac)
 		return cost, converged && cost >= threshold, err
@@ -679,42 +669,41 @@ func (a *Analyzer) verify(ctx context.Context, v *attack.Vector, fac *dist.Facto
 			return 0, false, err
 		}
 		acc.addFallback()
-		// Fallback: one OPF feasibility model answers both the Eq. 38 and
-		// the Eq. 37 query: the topology/load constraints are encoded once
-		// and the two cost caps evaluated against the same solver. On the
-		// incremental path the caps are retractable assumptions; on the
-		// cold path they are permanent assertions, so the generous cap is
-		// queried first — the outcome is provably the one the original
-		// tight-then-generous order computed, since unsat at the generous
-		// cap implies unsat at the tight one (which also makes the two
-		// paths verdict-identical).
-		fm, err := opf.NewFeasibilityModel(a.Grid, v.MappedTopology, v.ObservedLoads, a.MaxConflicts, a.QueryTimeout)
-		if err != nil {
-			return 0, false, err
-		}
-		defer func() { acc.add(fm.Stats()) }()
-		fm.Incremental = a.incremental()
-		fm.Parallelism = par
-		fm.MaxPivots = a.MaxPivots
-		fm.Certify = a.Certify
-		// Eq. 38: OPF must converge for a generous budget...
-		converges, err := fm.CheckCostBelow(ctx, threshold*10)
-		if err != nil {
-			return 0, false, err
-		}
-		if !converges {
-			return 0, false, nil
-		}
-		// ...Eq. 37: while no dispatch stays below the threshold.
-		below, err := fm.CheckCostBelow(ctx, threshold)
-		if err != nil {
-			return 0, false, err
-		}
-		return 0, !below, nil
+		reached, err := a.smtReached(ctx, v, threshold, par, acc)
+		return 0, reached, err
 
 	default:
 		return 0, false, fmt.Errorf("%w: unknown verify mode %v", ErrConfig, mode)
 	}
+}
+
+// smtReached is the SMT fallback for a candidate the exact model cannot
+// certify. One OPF feasibility model answers both the Eq. 38 and the Eq. 37
+// query: the topology/load constraints are encoded once and the two cost
+// caps asserted in turn, the generous cap first because an assertion cannot
+// be retracted. Unsat at the generous cap implies unsat at the tight one, so
+// the order does not change the outcome. par is the solver-portfolio width
+// (<= 1 = sequential); the model's effort joins acc.
+func (a *Analyzer) smtReached(ctx context.Context, v *attack.Vector, threshold float64, par int, acc *statsAcc) (bool, error) {
+	fm, err := opf.NewFeasibilityModel(a.Grid, v.MappedTopology, v.ObservedLoads, a.MaxConflicts, a.QueryTimeout)
+	if err != nil {
+		return false, err
+	}
+	defer func() { acc.add(fm.Stats()) }()
+	fm.Parallelism = par
+	fm.MaxPivots = a.MaxPivots
+	fm.Certify = a.Certify
+	// Eq. 38: OPF must converge for a generous budget...
+	converges, err := fm.CheckCostBelow(ctx, threshold*10)
+	if err != nil || !converges {
+		return false, err
+	}
+	// ...Eq. 37: while no dispatch stays below the threshold.
+	below, err := fm.CheckCostBelow(ctx, threshold)
+	if err != nil {
+		return false, err
+	}
+	return !below, nil
 }
 
 // exactModel certifies candidate v's OPF optimum, under the deadline of one

@@ -38,11 +38,11 @@ import (
 // KeyConfig holds the verdict-relevant analyzer configuration that joins the
 // problem in a cache key. The zero value of each field selects the same
 // default the Analyzer itself would (VerifyLP, 200 iterations, the paper's
-// 2-digit block precision, the incremental encoding).
+// 2-digit block precision).
 type KeyConfig struct {
 	// Targets are the requested cost-increase percentages; one entry is a
-	// plain Run, several an incremental ladder. Order is preserved: a ladder
-	// answers per-target reports in input order.
+	// plain Run, several a ladder. Order is preserved: a ladder answers
+	// per-target reports in input order.
 	Targets []float64
 	// Verify selects the verification backend (0 = VerifyLP).
 	Verify VerifyMode
@@ -55,10 +55,6 @@ type KeyConfig struct {
 	// runs are kept apart so a tenant requesting certification is never
 	// served a result that skipped the checker.
 	Certify bool
-	// NoIncremental forces the cold encoding path. The paths are
-	// verdict-identical, but they are keyed apart so the cache never blurs
-	// the A/B boundary the rest of the repo tests against.
-	NoIncremental bool
 }
 
 // CanonicalProblemBytes renders the analysis problem into deterministic
@@ -141,6 +137,17 @@ func CanonicalProblemBytes(g *grid.Grid, p *measure.Plan, cap attack.Capability)
 	return b.Bytes()
 }
 
+// certEncoding is the encoding token of cache keys and journal headers. The
+// token once named the SMT encoding path, which certification forced to
+// "cold"; with one search path left it records only whether the analysis
+// certifies, under the old names so earlier keys and journals stay valid.
+func certEncoding(certify bool) string {
+	if certify {
+		return "cold"
+	}
+	return "incremental"
+}
+
 // CacheKey returns the hex SHA-256 content address of (problem,
 // configuration). Identical problems loaded from reordered inputs map to the
 // same key; any one-ULP numeric difference, and any configuration difference
@@ -157,12 +164,8 @@ func CacheKey(g *grid.Grid, p *measure.Plan, cap attack.Capability, kc KeyConfig
 		maxIter = 200
 	}
 	prec := kc.BlockPrecision
-	encoding := "incremental"
-	if kc.NoIncremental || kc.Certify {
-		encoding = "cold"
-	}
 	fmt.Fprintf(h, "cfg v1 verify=%d maxiter=%d prec=%016x certify=%t encoding=%s targets=",
-		int(mode), maxIter, math.Float64bits(prec), kc.Certify, encoding)
+		int(mode), maxIter, math.Float64bits(prec), kc.Certify, certEncoding(kc.Certify))
 	for _, t := range kc.Targets {
 		fmt.Fprintf(h, "%016x,", math.Float64bits(t))
 	}

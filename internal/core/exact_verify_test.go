@@ -119,7 +119,9 @@ func TestExactVerifyMatchesSMT(t *testing.T) {
 // TestExactVerifyFallsBackToSMT: a candidate whose float LP is infeasible
 // (loads above the total generator capacity) is refused by the exact model,
 // and verify decides it with the SMT model as not reached, counting one
-// fallback.
+// fallback. The ladder sends it to the same fallback once per open rung:
+// neither of two rungs is found, the candidate counts one fallback, and the
+// SMT effort is twice verify's.
 func TestExactVerifyFallsBackToSMT(t *testing.T) {
 	a := searchAnalyzer(t, "paper5", 0, false, VerifySMT)
 	var capacity float64
@@ -152,6 +154,26 @@ func TestExactVerifyFallsBackToSMT(t *testing.T) {
 	if rep.SolverStats.Propagations == 0 && rep.SolverStats.Pivots == 0 {
 		t.Fatal("the SMT feasibility model did not run")
 	}
+
+	acc = &statsAcc{}
+	open := []*rung{{rep: &Report{Threshold: 1e6}}, {rep: &Report{Threshold: 2e6}}}
+	if err := a.ladderVerify(ctx, VerifySMT, v, nil, open, acc); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range open {
+		if r.rep.Found || r.rep.Canceled || r.resolved {
+			t.Errorf("rung %d: found=%t canceled=%t resolved=%t, want an open rung", i, r.rep.Found, r.rep.Canceled, r.resolved)
+		}
+	}
+	var ladder Report
+	acc.fill(&ladder)
+	if ladder.ExactFallbacks != 1 {
+		t.Fatalf("ladder ExactFallbacks = %d, want 1", ladder.ExactFallbacks)
+	}
+	got, one := ladder.SolverStats, rep.SolverStats
+	if got.Propagations != 2*one.Propagations || got.Pivots != 2*one.Pivots || got.Conflicts != 2*one.Conflicts {
+		t.Fatalf("ladder SMT effort %+v, want twice verify's %+v", got, one)
+	}
 }
 
 // TestExactVerifyHonoursQueryTimeout: the exact check runs under one
@@ -169,7 +191,7 @@ func TestExactVerifyHonoursQueryTimeout(t *testing.T) {
 		t.Fatalf("verify past its deadline: %v, want smt.ErrCanceled", err)
 	}
 	open := []*rung{{rep: &Report{Threshold: 1e6}}, {rep: &Report{Threshold: 2e6}}}
-	if err := a.ladderVerify(context.Background(), VerifySMT, vs[0], nil, nil, open, acc); err != nil {
+	if err := a.ladderVerify(context.Background(), VerifySMT, vs[0], nil, open, acc); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range open {

@@ -31,11 +31,11 @@ const (
 // against a journal whose configuration differs is refused: the journaled
 // candidate sequence would not match the one the model regenerates.
 type JournalConfig struct {
-	// Encoding records the SMT encoding path ("incremental" or "cold", see
-	// Analyzer.NoIncremental) the journaled run used. A resume under the
-	// other path is refused: the two paths are verdict-identical, but mixing
-	// them inside one journal would make the recorded solver-effort trail
-	// meaningless and would mask encoding bugs that only one path has.
+	// Encoding records whether the journaled run certified its SMT
+	// verdicts: "cold" if it did, "incremental" if not (see certEncoding).
+	// A resume must match it, so a certified analysis never trusts a
+	// verdict no checker saw, and an uncertified one never appends
+	// unchecked verdicts to a journal that claims them checked.
 	Encoding string `json:"encoding,omitempty"`
 
 	Buses                 int     `json:"buses"`

@@ -8,7 +8,6 @@ import (
 
 	"gridattack/internal/attack"
 	"gridattack/internal/dist"
-	"gridattack/internal/expr"
 	"gridattack/internal/opf"
 	"gridattack/internal/smt"
 )
@@ -21,41 +20,32 @@ import (
 // stream is target-independent: FindVector and Block never look at the
 // threshold, so the per-rung runs that a naive sweep would execute all walk
 // the same candidate sequence, each stopping at its own first success. The
-// incremental ladder therefore enumerates that sequence once and verifies
-// every candidate against all still-unresolved rungs:
+// ladder therefore enumerates that sequence once and verifies every
+// candidate against all still-unresolved rungs:
 //
-//   - Under VerifyLP / VerifyShift one exact OPF solve per candidate yields
-//     the post-attack minimum cost, which is compared against every rung's
+//   - Under VerifyLP / VerifyShift one OPF solve per candidate yields the
+//     post-attack minimum cost, which is compared against every rung's
 //     threshold for free.
 //   - Under VerifySMT one exact model per candidate (opf.NewExactModel)
 //     certifies the exact OPF optimum, which answers every rung's Eq. 38/37
-//     query pair. Only a candidate it cannot certify builds a feasibility
-//     model — on a ladder-wide shared expression builder, so structurally
-//     common constraints are constructed once — that answers the open
-//     rungs through retractable assumption literals (see
-//     opf.FeasibilityModel.Incremental), reusing the solver's learned
-//     clauses and simplex state across rungs.
+//     query pair. A candidate it cannot certify goes to Run's SMT fallback
+//     once per open rung.
 //
-// Per-rung verdicts (Found, Exhausted, Canceled, Iterations, Vector,
-// AttackedCost) are identical to running Analyzer.Run once per target for
-// every rung that no per-query budget interrupts: Sat/Unsat outcomes are
-// pure logic, so sharing solver state cannot change them. When a budget
-// (MaxConflicts, MaxPivots, QueryTimeout) does bind, the two paths may
-// cancel at different points — the incremental path reuses learned clauses
-// and simplex state and typically gets further on the same budget, so a
-// rung the cold path reports Canceled can resolve to a real verdict here.
-// Rungs where neither path cancels still match exactly. Timing and
-// statistics fields are attributions of shared work (each rung's report
-// charges the full shared candidate-search time it consumed, and
-// SolverStats totals ladder-wide effort, so summing across reports
-// double-counts).
+// Certify (and GRIDATTACK_CERTIFY) runs this same ladder with every SMT
+// check certified. Per-rung verdicts (Found, Exhausted, Canceled,
+// Iterations, Vector, AttackedCost) are the ones Analyzer.Run computes at
+// each target: the candidates and the verification queries are the same,
+// and only a wall-clock budget (QueryTimeout) can interrupt the two at
+// different points. Timing and statistics fields are attributions of shared
+// work (each rung's report charges the full shared candidate-search time it
+// consumed, and SolverStats totals ladder-wide effort, so summing across
+// reports double-counts).
 //
-// When NoIncremental or Certify is set, RunLadder falls back to exactly that
-// naive sweep: one independent cold Run per target. CheckpointPath is not
-// supported in either mode (a journal fingerprints a single threshold);
-// callers wanting resumability should run the rungs as separate checkpointed
-// Runs.
+// CheckpointPath is not supported (a journal fingerprints a single
+// threshold); callers wanting resumability should run the rungs as separate
+// checkpointed Runs.
 func (a *Analyzer) RunLadder(targets []float64) ([]*Report, error) {
+	start := time.Now()
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("%w: ladder needs at least one target", ErrConfig)
 	}
@@ -67,70 +57,14 @@ func (a *Analyzer) RunLadder(targets []float64) ([]*Report, error) {
 			return nil, fmt.Errorf("%w: target increase must be positive", ErrConfig)
 		}
 	}
-	if !a.incremental() {
-		reports := make([]*Report, len(targets))
-		for i, t := range targets {
-			sub := *a
-			sub.TargetIncreasePercent = t
-			rep, err := sub.Run()
-			if err != nil {
-				return nil, err
-			}
-			reports[i] = rep
-		}
-		return reports, nil
-	}
-	return a.runLadderIncremental(targets)
-}
-
-// rung is one target's in-progress state inside the incremental ladder.
-type rung struct {
-	rep      *Report
-	resolved bool // Found, Exhausted, Canceled, or iteration budget hit
-}
-
-func (a *Analyzer) runLadderIncremental(targets []float64) ([]*Report, error) {
-	start := time.Now()
 	if a.Grid == nil || a.Plan == nil {
 		return nil, fmt.Errorf("%w: grid and plan are required", ErrConfig)
 	}
-	maxIter := a.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 200
-	}
-	mode := a.Verify
-	if mode == 0 {
-		mode = VerifyLP
-	}
-
-	trueTopo := a.Grid.TrueTopology()
-	base, err := opf.Solve(a.Grid, trueTopo, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: attack-free OPF: %w", err)
-	}
-	dispatch := a.OperatingDispatch
-	if dispatch == nil {
-		dispatch = base.Dispatch
-	}
-	pf, err := a.Grid.SolvePowerFlow(trueTopo, dispatch)
-	if err != nil {
-		return nil, fmt.Errorf("core: operating point: %w", err)
-	}
-
-	model, err := attack.NewModel(a.Grid, a.Plan, a.Capability, pf)
+	maxIter := a.maxIterations()
+	mode := a.verifyMode()
+	base, model, fac, err := a.setup()
 	if err != nil {
 		return nil, err
-	}
-	model.MaxConflicts = a.MaxConflicts
-	model.MaxDuration = a.QueryTimeout
-	model.MaxPivots = a.MaxPivots
-
-	var fac *dist.Factors
-	if mode == VerifyShift {
-		fac, err = dist.New(a.Grid, trueTopo)
-		if err != nil {
-			return nil, fmt.Errorf("core: shift factors: %w", err)
-		}
 	}
 
 	rungs := make([]*rung, len(targets))
@@ -150,10 +84,6 @@ func (a *Analyzer) runLadderIncremental(targets []float64) ([]*Report, error) {
 		return out
 	}
 
-	// vb is the ladder-wide expression builder: every fallback SMT
-	// verification model interns its constraints through it, so nodes (and
-	// their lowered formulas) common across candidates are built once.
-	vb := expr.NewBuilder()
 	acc := &statsAcc{}
 	ctx := context.Background()
 	iter := 0
@@ -193,7 +123,7 @@ func (a *Analyzer) runLadderIncremental(targets []float64) ([]*Report, error) {
 			r.rep.Iterations = iter
 		}
 
-		if err := a.ladderVerify(ctx, mode, v, fac, vb, open, acc); err != nil {
+		if err := a.ladderVerify(ctx, mode, v, fac, open, acc); err != nil {
 			return nil, err
 		}
 
@@ -214,9 +144,15 @@ func (a *Analyzer) runLadderIncremental(targets []float64) ([]*Report, error) {
 	return reports, nil
 }
 
+// rung is one target's in-progress state inside the ladder.
+type rung struct {
+	rep      *Report
+	resolved bool // Found, Exhausted, Canceled, or iteration budget hit
+}
+
 // ladderVerify verifies one candidate against every open rung and resolves
 // the rungs it satisfies (or cancels).
-func (a *Analyzer) ladderVerify(ctx context.Context, mode VerifyMode, v *attack.Vector, fac *dist.Factors, vb *expr.Builder, open []*rung, acc *statsAcc) error {
+func (a *Analyzer) ladderVerify(ctx context.Context, mode VerifyMode, v *attack.Vector, fac *dist.Factors, open []*rung, acc *statsAcc) error {
 	switch mode {
 	case VerifyLP, VerifyShift:
 		t0 := time.Now()
@@ -240,7 +176,7 @@ func (a *Analyzer) ladderVerify(ctx context.Context, mode VerifyMode, v *attack.
 
 	case VerifySMT:
 		// One exact model answers every open rung; a candidate it cannot
-		// certify falls back to the shared-builder SMT model below.
+		// certify falls back to the SMT model, one per open rung.
 		t0 := time.Now()
 		em, err := a.exactModel(ctx, v)
 		vt := time.Since(t0)
@@ -268,16 +204,9 @@ func (a *Analyzer) ladderVerify(ctx context.Context, mode VerifyMode, v *attack.
 			return err
 		}
 		acc.addFallback()
-		fm, err := opf.NewFeasibilityModelShared(vb, a.Grid, v.MappedTopology, v.ObservedLoads, a.MaxConflicts, a.QueryTimeout)
-		if err != nil {
-			return err
-		}
-		defer func() { acc.add(fm.Stats()) }()
-		fm.Incremental = true
-		fm.MaxPivots = a.MaxPivots
 		for _, r := range open {
 			t0 := time.Now()
-			reached, err := ladderSMTQuery(ctx, fm, r.rep.Threshold)
+			reached, err := a.smtReached(ctx, v, r.rep.Threshold, 1, acc)
 			r.rep.VerifyTime += time.Since(t0)
 			if errors.Is(err, smt.ErrCanceled) {
 				// Budget exhaustion is per rung, exactly as the rung's own
@@ -292,8 +221,7 @@ func (a *Analyzer) ladderVerify(ctx context.Context, mode VerifyMode, v *attack.
 			if reached {
 				r.rep.Found = true
 				r.rep.Vector = v
-				// AttackedCost stays 0 under VerifySMT certification,
-				// matching Run.
+				// AttackedCost stays 0 under VerifySMT, matching Run.
 				r.resolved = true
 			}
 		}
@@ -328,23 +256,4 @@ func (a *Analyzer) opfCost(mode VerifyMode, v *attack.Vector, fac *dist.Factors)
 		return 0, false, err
 	}
 	return sol.Cost, true, nil
-}
-
-// ladderSMTQuery runs one rung's Eq. 38 / Eq. 37 pair against the shared
-// incremental feasibility model: the attack succeeds at this threshold when
-// OPF still converges for a generous budget while no dispatch stays below
-// the threshold itself.
-func ladderSMTQuery(ctx context.Context, fm *opf.FeasibilityModel, threshold float64) (bool, error) {
-	converges, err := fm.CheckCostBelow(ctx, threshold*10)
-	if err != nil {
-		return false, err
-	}
-	if !converges {
-		return false, nil
-	}
-	below, err := fm.CheckCostBelow(ctx, threshold)
-	if err != nil {
-		return false, err
-	}
-	return !below, nil
 }

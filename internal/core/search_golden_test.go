@@ -15,7 +15,6 @@ import (
 
 	"gridattack/internal/attack"
 	"gridattack/internal/cases"
-	"gridattack/internal/smt"
 )
 
 // searchGoldenFile pins the search trajectory of the attack and verification
@@ -195,20 +194,15 @@ func readSearchGolden(t *testing.T) map[string]searchEntry {
 
 // TestSearchGoldenDigests: every analysis of the corpus — the analyze-lp
 // benchmark's problems under LP verification, state infection under SMT
-// verification, and an incremental ladder — reaches the recorded verdict,
-// vector and attacked cost with the recorded SAT and simplex effort. Every
-// differing digest is reported, verdicts and effort separately.
+// verification, and a ladder — reaches the recorded verdict, vector and
+// attacked cost with the recorded SAT and simplex effort. Every differing
+// digest is reported, verdicts and effort separately. Certification
+// (GRIDATTACK_CERTIFY) runs the same searches, so the pin holds under it too.
 func TestSearchGoldenDigests(t *testing.T) {
 	// Go fuses a*b+c into one rounding on arm64, ppc64, riscv64, s390x and
 	// loong64 but never on amd64, where the digests were recorded.
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests recorded on amd64; %s fuses multiply-adds", runtime.GOARCH)
-	}
-	if smt.CertifyDefault() {
-		// Certification turns off the incremental encoding, so SMT
-		// verification and the ladder take the cold path and search
-		// differently; the pin records the default, incremental search.
-		t.Skip("digests recorded without certification")
 	}
 	got := searchCorpus(t)
 	want := readSearchGolden(t)

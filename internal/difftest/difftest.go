@@ -227,8 +227,9 @@ func Run(cfg Config) (*Summary, error) {
 				return nil, err
 			}
 		}
-		// The incremental-vs-cold ladder A/B reruns the Fig. 2 loop several
-		// times per system; like the core property it is rationed to the
+		// The ladder A/B reruns the Fig. 2 loop several times per system
+		// (per-target Runs, the ladder, the certified ladder); like the
+		// core property it is rationed to the
 		// smaller systems (offset from the core cases in short mode so both
 		// properties still run).
 		if layerOn[LayerExpr] && sys.Grid.NumBuses() <= 6 && (!cfg.Short || i%4 == 2) {

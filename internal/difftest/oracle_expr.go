@@ -23,9 +23,9 @@ import (
 //     assignment is a discrepancy. Rebuilding the same tree must also return
 //     the identical node pointer (hash-consing determinism).
 //
-//   - checkLadderAB: the Fig. 2 threshold ladder is run over a generated
-//     system twice — the incremental assumption-based path against the cold
-//     per-rung rebuild path (Analyzer.NoIncremental) — and the per-rung
+//   - checkLadderAB: the Fig. 2 threshold ladder (one shared candidate
+//     search) is run over a generated system, uncertified and certified,
+//     against a loop of independent per-target Runs, and the per-rung
 //     verdicts must match bit for bit.
 
 // tNum is a naive numeric expression tree node (no sharing, no folding).
@@ -231,7 +231,7 @@ func checkExpr(rng *rand.Rand) string {
 }
 
 // ladderVerdict is the part of a core.Report that must be bit-identical
-// between the incremental and cold encodings.
+// between a ladder rung and the independent Run at its target.
 type ladderVerdict struct {
 	Found        bool
 	Exhausted    bool
@@ -256,8 +256,9 @@ func verdictOf(rep *core.Report) ladderVerdict {
 	return v
 }
 
-// checkLadderAB runs the Fig. 2 ladder incremental-vs-cold A/B on one
-// generated system.
+// checkLadderAB compares the Fig. 2 ladder, uncertified and certified, with
+// independent per-target Runs on one generated system. The certified ladder
+// draws nothing from rng.
 func checkLadderAB(sys *System, rng *rand.Rand) string {
 	if _, err := opf.Solve(sys.Grid, sys.Grid.TrueTopology(), nil); err != nil {
 		return "" // no attack-free optimum: the ladder has no baseline
@@ -268,31 +269,37 @@ func checkLadderAB(sys *System, rng *rand.Rand) string {
 	if rng.Intn(2) == 0 {
 		mode = core.VerifySMT
 	}
-	run := func(noIncremental bool) ([]*core.Report, error) {
-		a := &core.Analyzer{
+	analyzer := func(target float64, certify bool) *core.Analyzer {
+		return &core.Analyzer{
 			Grid:                  sys.Grid,
 			Plan:                  sys.Plan,
 			Capability:            attack.Capability{RequireTopologyChange: true},
-			TargetIncreasePercent: targets[0],
+			TargetIncreasePercent: target,
 			MaxIterations:         12,
 			Parallelism:           1,
 			Verify:                mode,
-			NoIncremental:         noIncremental,
+			Certify:               certify,
 		}
-		return a.RunLadder(targets)
 	}
-	inc, incErr := run(false)
-	cold, coldErr := run(true)
-	if (incErr != nil) != (coldErr != nil) {
-		return fmt.Sprintf("ladder error asymmetry (%s): incremental=%v cold=%v", mode, incErr, coldErr)
+	runs := make([]*core.Report, len(targets))
+	var runErr error
+	for i, t := range targets {
+		if runs[i], runErr = analyzer(t, false).Run(); runErr != nil {
+			break
+		}
 	}
-	if incErr != nil {
-		return "" // both paths reject the system the same way
-	}
-	for i := range targets {
-		gi, gc := verdictOf(inc[i]), verdictOf(cold[i])
-		if gi != gc {
-			return fmt.Sprintf("ladder verdict mismatch (%s) at rung %v%%: incremental=%+v cold=%+v", mode, targets[i], gi, gc)
+	for _, certify := range []bool{false, true} {
+		ladder, err := analyzer(targets[0], certify).RunLadder(targets)
+		if (err != nil) != (runErr != nil) {
+			return fmt.Sprintf("ladder error asymmetry (%s, certify=%t): ladder=%v runs=%v", mode, certify, err, runErr)
+		}
+		if err != nil {
+			continue // both reject the system the same way
+		}
+		for i := range targets {
+			if gl, gr := verdictOf(ladder[i]), verdictOf(runs[i]); gl != gr {
+				return fmt.Sprintf("ladder verdict mismatch (%s, certify=%t) at rung %v%%: ladder=%+v run=%+v", mode, certify, targets[i], gl, gr)
+			}
 		}
 	}
 	return ""

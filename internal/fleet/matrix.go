@@ -3,7 +3,7 @@
 // -> OPF -> AGC cycle at a fixed cadence against a real-TCP RTU fleet, with
 // fleet-wide fault injection, a per-RTU health state machine, a degradation
 // ladder, a per-cycle deadline watchdog, a crash-resumable loop journal,
-// and an online attack-impact monitor that re-runs incremental impact
+// and an online attack-impact monitor that re-runs the impact
 // analysis when the mapped topology drifts. It turns the repo's
 // "analyze one snapshot" layers into "keep a live grid running under fault
 // and attack" (paper Fig. 1 run continuously).

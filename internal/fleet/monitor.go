@@ -18,7 +18,7 @@ import (
 // processor reports drift (the mapped topology differs from the previous
 // cycle's), the supervisor hands the monitor the drifted snapshot — mapped
 // topology, estimated loads, operating dispatch — and the monitor re-runs
-// the incremental threshold ladder (core.RunLadder) on it, telling the
+// the threshold ladder (core.RunLadder) on it, telling the
 // operator which cost-increase targets just became reachable.
 //
 // Verdict cache contract: results are keyed by a fingerprint of everything

@@ -32,7 +32,7 @@ var ErrNotCertified = errors.New("opf: optimum not certified")
 // connectivity gate.
 type ExactModel struct {
 	opt   *big.Rat // exact minimum of sum(beta_j * Pg_j)
-	alpha float64  // total fixed cost, summed as NewFeasibilityModelShared does
+	alpha float64  // total fixed cost, summed as NewFeasibilityModel does
 }
 
 // NewExactModel certifies the minimum-cost dispatch of grid g under mapped

@@ -34,18 +34,11 @@ func Encode(s *smt.Solver, g *grid.Grid, t grid.Topology, loads []float64, costC
 // EncodeBase asserts the cap-independent OPF constraints (Eqs. 30-34):
 // generator limits, flow definitions and capacities, and nodal balance. The
 // cost cap (Eq. 35) is left to the caller, so one encoded model can serve a
-// sequence of progressively tighter cost queries on the same solver.
+// sequence of progressively tighter cost queries on the same solver. The
+// encoding is built as a hash-consed expression DAG and lowered through its
+// builder's node->Formula cache, so a subexpression shared by several
+// constraints is translated once.
 func EncodeBase(s *smt.Solver, g *grid.Grid, t grid.Topology, loads []float64) (*Vars, error) {
-	return EncodeBaseExpr(expr.NewBuilder(), s, g, t, loads)
-}
-
-// EncodeBaseExpr is EncodeBase on a caller-supplied expression builder. The
-// encoding is built as a hash-consed DAG and lowered through the builder's
-// node->Formula cache, so a builder shared across the per-candidate models of
-// one analysis reuses every subformula that candidates have in common (the
-// variable-allocation order below is fixed, which is what makes the solver
-// handles in shared nodes line up across solvers).
-func EncodeBaseExpr(b *expr.Builder, s *smt.Solver, g *grid.Grid, t grid.Topology, loads []float64) (*Vars, error) {
 	if len(g.Generators) == 0 {
 		return nil, ErrNoGenerators
 	}
@@ -55,6 +48,7 @@ func EncodeBaseExpr(b *expr.Builder, s *smt.Solver, g *grid.Grid, t grid.Topolog
 	if len(loads) != g.NumBuses() {
 		return nil, fmt.Errorf("opf: load vector length %d, want %d", len(loads), g.NumBuses())
 	}
+	b := expr.NewBuilder()
 	v := &Vars{
 		Theta: make([]int, g.NumBuses()),
 		Gen:   make([]int, len(g.Generators)),

@@ -23,7 +23,7 @@ func FuzzParseJobRequest(f *testing.F) {
 	seed(JobRequest{Input: valid, Targets: []float64{1, 3, 6}})
 	seed(JobRequest{Input: valid, Verify: "smt", MaxIterations: 50, Certify: true})
 	seed(JobRequest{Input: valid, Verify: "shift", BlockPrecision: 0.5, States: true})
-	seed(JobRequest{Input: valid, NoIncremental: true})
+	seed(JobRequest{Input: valid, Targets: []float64{1, 3}, Certify: true})
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"input":""}`))
 	f.Add([]byte(`{"input":"# topology\n"}`))

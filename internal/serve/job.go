@@ -67,8 +67,8 @@ type JobRequest struct {
 	// measurements, resource limitation, bus types, generators, loads, cost).
 	Input string `json:"input"`
 	// Targets are the cost-increase percentages to analyze. One entry is a
-	// plain impact query; several are answered as one incremental threshold
-	// ladder. Empty selects the input file's own minimum-increase value.
+	// plain impact query; several are answered as one threshold ladder.
+	// Empty selects the input file's own minimum-increase value.
 	Targets []float64 `json:"targets,omitempty"`
 	// Verify selects the verification backend: "lp" (default), "smt", or
 	// "shift".
@@ -82,8 +82,6 @@ type JobRequest struct {
 	// Certify demands an independently checked certificate for every SMT
 	// verdict the job trusts.
 	Certify bool `json:"certify,omitempty"`
-	// NoIncremental forces the cold (assertion-based) encoding path.
-	NoIncremental bool `json:"no_incremental,omitempty"`
 }
 
 // ParsedJob is a validated request together with its canonical cache key.
@@ -183,7 +181,6 @@ func ParseJobRequest(data []byte, lim Limits) (*ParsedJob, error) {
 		BlockPrecision: req.BlockPrecision,
 		MaxIterations:  req.MaxIterations,
 		Certify:        req.Certify,
-		NoIncremental:  req.NoIncremental,
 	})
 	return p, nil
 }

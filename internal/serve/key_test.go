@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -185,7 +187,6 @@ func TestKeyConfigSensitivity(t *testing.T) {
 		"block precision": {Input: input, BlockPrecision: 0.5},
 		"state infection": {Input: input, States: true},
 		"certified":       {Input: input, Certify: true},
-		"cold encoding":   {Input: input, NoIncremental: true},
 	}
 	seen := map[string]string{base: "base"}
 	for name, req := range diff {
@@ -210,6 +211,42 @@ func TestKeyConfigSensitivity(t *testing.T) {
 	k2 := core.CacheKey(sc.Case.Grid, sc.Plan, sc.Capability, core.KeyConfig{Targets: []float64{3}})
 	if k1 != k2 {
 		t.Fatal("CacheKey is not a pure function of its inputs")
+	}
+}
+
+// TestKeyPinned: keys stay byte-identical across versions, so a daemon's
+// durable results and journals keep their names. Both were recorded before
+// the analysis had one search path, when the key also carried the encoding.
+func TestKeyPinned(t *testing.T) {
+	input := caseInputText(t, "paper5", 7, 3)
+	pins := map[string]struct {
+		req JobRequest
+		key string
+	}{
+		"default":   {JobRequest{Input: input}, "78bcafbaeb8c68282b7da0ac300de683dc415add0c9632805a00167222c629ef"},
+		"certified": {JobRequest{Input: input, Certify: true}, "dbcc9dab5bc3718f8a2fd0f05fd876f4e2e783164b2dbdf4273b560efc95886a"},
+	}
+	for name, p := range pins {
+		if got := parseKey(t, p.req); got != p.key {
+			t.Errorf("%s: key %s, want %s", name, got, p.key)
+		}
+	}
+}
+
+// TestRequestRefusesColdEncodingField: earlier versions took a request field
+// that forced the cold encoding. The analysis has one search path now, so a
+// request that still sets the field, to either value, is refused like any
+// unknown field.
+func TestRequestRefusesColdEncodingField(t *testing.T) {
+	input := caseInputText(t, "paper5", 7, 3)
+	for _, v := range []bool{true, false} {
+		body, err := json.Marshal(map[string]any{"input": input, "no_" + "incremental": v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, err := ParseJobRequest(body, Limits{}); !errors.Is(err, ErrRequest) || p != nil {
+			t.Errorf("field set to %t: parsed=%v err=%v, want a refusal wrapping ErrRequest", v, p != nil, err)
+		}
 	}
 }
 

@@ -353,8 +353,8 @@ func (s *Server) runJob(job *Job) {
 }
 
 // solve runs the analysis for one job: a checkpointed Run for single-target
-// jobs (each durable journal record streaming out as a progress event), an
-// incremental ladder for multi-target ones.
+// jobs (each durable journal record streaming out as a progress event), a
+// ladder for multi-target ones.
 func (s *Server) solve(job *Job) (*Result, error) {
 	p := job.Parsed
 	a := &core.Analyzer{
@@ -365,7 +365,6 @@ func (s *Server) solve(job *Job) (*Result, error) {
 		MaxIterations:  p.Req.MaxIterations,
 		BlockPrecision: p.Req.BlockPrecision,
 		Certify:        p.Req.Certify,
-		NoIncremental:  p.Req.NoIncremental,
 		Parallelism:    job.Tier.parallelism(),
 		MaxConflicts:   job.Tier.MaxConflicts,
 		MaxPivots:      job.Tier.MaxPivots,

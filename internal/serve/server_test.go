@@ -82,7 +82,7 @@ func TestCacheHitBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLadderJob answers several thresholds as one incremental ladder and
+// TestLadderJob answers several thresholds as one ladder and
 // cross-checks each rung against an independently solved single-target job.
 func TestLadderJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{JournalDir: t.TempDir()})

@@ -28,9 +28,8 @@ func SetCertifyDefault(on bool) bool {
 }
 
 // CertifyDefault reports whether certification-by-default is currently on.
-// Callers that choose between the assumption-based (incremental) and the
-// cold assertion-based encoding consult it: certification forces the cold
-// path, because an unsat-under-assumptions verdict carries no certificate.
+// Certification does not change which search runs; it adds a proof log and
+// its check to every Check.
 func CertifyDefault() bool { return certifyDefault.Load() }
 
 // assertKind discriminates the three user-level assertion forms.

@@ -14,39 +14,37 @@ import "math/big"
 // the search under an assumption while the original stays untouched.
 func (s *Solver) Clone() *Solver {
 	cp := &Solver{
-		core:           s.core.clone(),
-		simp:           s.simp.clone(),
-		boolNames:      append([]string(nil), s.boolNames...),
-		realNames:      append([]string(nil), s.realNames...),
-		trueVar:        s.trueVar,
-		atoms:          make([]*atomInfo, len(s.atoms)),
-		atomVars:       make(map[string]int, len(s.atomVars)),
-		formSlacks:     make(map[string]int, len(s.formSlacks)),
-		tseitinCache:   make(map[*Formula]literal, len(s.tseitinCache)),
-		atomSlacks:     append([]int(nil), s.atomSlacks...),
-		atomsBySlack:   make([][]int, len(s.atomsBySlack)),
-		theoryHead:     s.theoryHead,
-		NoPropagate:    s.NoPropagate,
-		ForceBigRat:    s.ForceBigRat,
-		theoryProps:    s.theoryProps,
-		lastPropRev:    s.lastPropRev,
-		MaxConflicts:   s.MaxConflicts,
-		MaxDuration:    s.MaxDuration,
-		MaxPivots:      s.MaxPivots,
-		Certify:        s.Certify,
-		selfCheck:      s.selfCheck,
-		certSpoiled:    s.certSpoiled,
-		model:          s.model,
-		restartUnit:    s.restartUnit,
-		rngState:       s.rngState,
-		randFreq:       s.randFreq,
-		lastCert:       s.lastCert,
-		assumpRelative: s.assumpRelative,
-		failedAssumps:  append([]literal(nil), s.failedAssumps...),
-		assertRecs:     append([]assertRecord(nil), s.assertRecs...),
-		premises:       append([][]literal(nil), s.premises...),
-		steps:          append([]proofStep(nil), s.steps...),
-		slackDefs:      make(map[int][]LinTerm, len(s.slackDefs)),
+		core:         s.core.clone(),
+		simp:         s.simp.clone(),
+		boolNames:    append([]string(nil), s.boolNames...),
+		realNames:    append([]string(nil), s.realNames...),
+		trueVar:      s.trueVar,
+		atoms:        make([]*atomInfo, len(s.atoms)),
+		atomVars:     make(map[string]int, len(s.atomVars)),
+		formSlacks:   make(map[string]int, len(s.formSlacks)),
+		tseitinCache: make(map[*Formula]literal, len(s.tseitinCache)),
+		atomSlacks:   append([]int(nil), s.atomSlacks...),
+		atomsBySlack: make([][]int, len(s.atomsBySlack)),
+		theoryHead:   s.theoryHead,
+		NoPropagate:  s.NoPropagate,
+		ForceBigRat:  s.ForceBigRat,
+		theoryProps:  s.theoryProps,
+		lastPropRev:  s.lastPropRev,
+		MaxConflicts: s.MaxConflicts,
+		MaxDuration:  s.MaxDuration,
+		MaxPivots:    s.MaxPivots,
+		Certify:      s.Certify,
+		selfCheck:    s.selfCheck,
+		certSpoiled:  s.certSpoiled,
+		model:        s.model,
+		restartUnit:  s.restartUnit,
+		rngState:     s.rngState,
+		randFreq:     s.randFreq,
+		lastCert:     s.lastCert,
+		assertRecs:   append([]assertRecord(nil), s.assertRecs...),
+		premises:     append([][]literal(nil), s.premises...),
+		steps:        append([]proofStep(nil), s.steps...),
+		slackDefs:    make(map[int][]LinTerm, len(s.slackDefs)),
 	}
 	for v, def := range s.slackDefs {
 		cp.slackDefs[v] = def // defining terms are never mutated after creation

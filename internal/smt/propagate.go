@@ -22,8 +22,11 @@ type rowBounds struct {
 	up, lo     drat64
 	upLits     []literal
 	loLits     []literal
-	upFarkas   []*big.Rat // |c_j| per premise; nil unless certifying
-	loFarkas   []*big.Rat
+	// row is the tableau row the bounds came from; upPos and loPos hold each
+	// premise's position in it (only when certifying), from which
+	// propagateLit builds the Farkas multipliers |c_j| of the bound it uses.
+	row          *sparseRow
+	upPos, loPos []int32
 }
 
 // deriveRowBounds computes both implied bounds of basic variable b's row
@@ -33,8 +36,8 @@ func (s *Solver) deriveRowBounds(b int) *rowBounds {
 	sp := s.simp
 	row := &sp.rows[b]
 	rb := &s.rowScratch
-	*rb = rowBounds{upOK: true, loOK: true, up: d64FromInt(0), lo: d64FromInt(0),
-		upLits: rb.upLits[:0], loLits: rb.loLits[:0], upFarkas: rb.upFarkas[:0], loFarkas: rb.loFarkas[:0]}
+	*rb = rowBounds{upOK: true, loOK: true, up: d64FromInt(0), lo: d64FromInt(0), row: row,
+		upLits: rb.upLits[:0], loLits: rb.loLits[:0], upPos: rb.upPos[:0], loPos: rb.loPos[:0]}
 	certify := s.Certify
 	for i, jc := range row.cols {
 		j := int(jc)
@@ -50,7 +53,7 @@ func (s *Solver) deriveRowBounds(b int) *rowBounds {
 				rb.up = sp.daddScaled(rb.up, c, upSide.val)
 				rb.upLits = append(rb.upLits, upSide.reason)
 				if certify {
-					rb.upFarkas = append(rb.upFarkas, sp.abs(c).toBig())
+					rb.upPos = append(rb.upPos, int32(i))
 				}
 			} else {
 				rb.upOK = false
@@ -61,7 +64,7 @@ func (s *Solver) deriveRowBounds(b int) *rowBounds {
 				rb.lo = sp.daddScaled(rb.lo, c, loSide.val)
 				rb.loLits = append(rb.loLits, loSide.reason)
 				if certify {
-					rb.loFarkas = append(rb.loFarkas, sp.abs(c).toBig())
+					rb.loPos = append(rb.loPos, int32(i))
 				}
 			} else {
 				rb.loOK = false
@@ -118,38 +121,34 @@ func (s *Solver) tryImply(l literal, wantUpper bool, val drat64, ub, lb *hbound,
 	if wantUpper {
 		// Need a known upper bound <= val.
 		if ub.active && sp.dcmp(ub.val, val) <= 0 {
-			return s.propagateLit(l, []literal{ub.reason}, s.unitFarkas())
+			return s.propagateLit(l, []literal{ub.reason}, nil, nil)
 		}
 		if rb != nil && rb.upOK && sp.dcmp(rb.up, val) <= 0 {
-			return s.propagateLit(l, rb.upLits, rb.upFarkas)
+			return s.propagateLit(l, rb.upLits, rb.row, rb.upPos)
 		}
 		return false
 	}
 	// Need a known lower bound >= val.
 	if lb.active && sp.dcmp(lb.val, val) >= 0 {
-		return s.propagateLit(l, []literal{lb.reason}, s.unitFarkas())
+		return s.propagateLit(l, []literal{lb.reason}, nil, nil)
 	}
 	if rb != nil && rb.loOK && sp.dcmp(rb.lo, val) >= 0 {
-		return s.propagateLit(l, rb.loLits, rb.loFarkas)
+		return s.propagateLit(l, rb.loLits, rb.row, rb.loPos)
 	}
 	return false
-}
-
-func (s *Solver) unitFarkas() []*big.Rat {
-	if !s.Certify {
-		return nil
-	}
-	return []*big.Rat{big.NewRat(1, 1)}
 }
 
 // propagateLit enqueues implied literal l with a theory explanation clause
 // l | !p_1 | ... | !p_n built from the premise bound literals. The clause is
 // added to the clause database (it is a valid theory lemma, reusable after
 // backtracking) and, when certifying, logged as a Farkas step: the premises
-// plus the negation of l are jointly infeasible, with multiplier 1 on !l and
-// the premise multipliers as derived — the same shape as a simplex conflict,
-// so the certificate checker needs no new machinery.
-func (s *Solver) propagateLit(l literal, premises []literal, farkas []*big.Rat) bool {
+// plus the negation of l are jointly infeasible, with multiplier 1 on !l —
+// the same shape as a simplex conflict, so the certificate checker needs no
+// new machinery. An asserted-bound premise (row nil) takes multiplier 1; the
+// premises of a row-derived bound take |c_j|, read from row at positions pos.
+// The row cannot pivot between deriveRowBounds and this call: both run in
+// one theoryPropagate round.
+func (s *Solver) propagateLit(l literal, premises []literal, row *sparseRow, pos []int32) bool {
 	// After a successful check the assignment satisfies all asserted bounds,
 	// so an entailed literal cannot be assigned false; guard anyway so an
 	// inconsistent state degrades to "no propagation" rather than corruption.
@@ -167,9 +166,17 @@ func (s *Solver) propagateLit(l literal, premises []literal, farkas []*big.Rat) 
 		tlits := make([]literal, 0, len(premises)+1)
 		tlits = append(tlits, l.not())
 		tlits = append(tlits, premises...)
-		fk := make([]*big.Rat, 0, len(farkas)+1)
+		fk := make([]*big.Rat, 0, len(premises)+1)
 		fk = append(fk, big.NewRat(1, 1))
-		fk = append(fk, farkas...)
+		if row == nil {
+			for range premises {
+				fk = append(fk, big.NewRat(1, 1))
+			}
+		} else {
+			for _, i := range pos {
+				fk = append(fk, s.simp.abs(row.vals[i]).toBig())
+			}
+		}
 		// Log before the clause can appear in any later derivation.
 		s.steps = append(s.steps, proofStep{
 			lits:   append([]literal(nil), lits...),

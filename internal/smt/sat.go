@@ -421,45 +421,6 @@ func (c *satCore) analyze(confl []literal) ([]literal, int) {
 	return learnt, bt
 }
 
-// analyzeFinal computes a failed-assumption core: given an assumption literal
-// p that is false under the current (assumption-prefixed) trail, it walks the
-// reason graph of not(p) back to the decisions that imply it. Every decision
-// reached is an earlier assumption (assumption levels precede all free
-// decisions, and analyzeFinal runs before any are made), so the returned set
-// — p plus those decisions — is a subset of the assumptions that the
-// assertions jointly refute.
-func (c *satCore) analyzeFinal(p literal) []literal {
-	out := []literal{p}
-	if c.level[p.variable()] == 0 {
-		return out // the assertions alone entail not(p): core is {p}
-	}
-	if len(c.seenBuf) < c.numVars {
-		c.seenBuf = make([]bool, c.numVars)
-	}
-	seen := c.seenBuf // all false on entry; restored before returning
-	seen[p.variable()] = true
-	for i := len(c.trail) - 1; i >= 0; i-- {
-		v := c.trail[i].variable()
-		if !seen[v] {
-			continue
-		}
-		seen[v] = false
-		if c.level[v] == 0 {
-			continue // level-0 facts need no justification
-		}
-		if r := c.reason[v]; r == 0 {
-			out = append(out, c.trail[i]) // a decision: an earlier assumption
-		} else {
-			for _, q := range c.lits(r) {
-				if qv := q.variable(); qv != v && c.level[qv] > 0 {
-					seen[qv] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
 func (c *satCore) bumpActivity(v int) {
 	c.activity[v] += c.varInc
 	if c.activity[v] > activityLimit {

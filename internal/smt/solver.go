@@ -172,14 +172,6 @@ type Solver struct {
 	rngState    uint64 // xorshift64 state for decision-phase flips (0 = off)
 	randFreq    uint64 // flip roughly one decision phase in randFreq
 
-	// Assumption state (see assume.go): assumps holds the literals of an
-	// in-flight CheckAssuming (empty otherwise); assumpRelative records that
-	// the last check's Unsat was relative to the assumptions (and must not
-	// latch); failedAssumps is the analyzeFinal core of that refutation.
-	assumps        []literal
-	assumpRelative bool
-	failedAssumps  []literal
-
 	model      bool // a model is available from the last Check
 	modelDelta *big.Rat
 }
@@ -361,7 +353,7 @@ func (s *Solver) backtrackAll() {
 // a certificate that fails verification turns the verdict into an error.
 func (s *Solver) Check() (Result, error) {
 	res, err := s.check()
-	if err == nil && res == Unsat && !s.assumpRelative {
+	if err == nil && res == Unsat {
 		// Assertions are permanent, so unsat is too. Latching it keeps
 		// re-checks sound: a theory conflict among level-0 literals is
 		// consumed from the trail when found (theoryHead) and would not be
@@ -388,8 +380,6 @@ func (s *Solver) Certificate() *Certificate { return s.lastCert }
 func (s *Solver) check() (Result, error) {
 	s.model = false
 	s.lastCert = nil
-	s.assumpRelative = false
-	s.failedAssumps = nil
 	if !s.Certify {
 		// Any uncertified search may learn clauses that never enter the
 		// proof trace; certificates built after that cannot be replayed.
@@ -525,30 +515,6 @@ func (s *Solver) check() (Result, error) {
 			s.core.cancelUntil(0)
 			s.simp.popTo(0)
 			s.theoryHead = min(s.theoryHead, len(s.core.trail))
-			continue
-		}
-
-		// Assumption levels come before any free decision: the dl-th
-		// assumption is installed as the decision of level dl+1. An already-
-		// true assumption still opens its own (empty) level so later
-		// assumptions land at their fixed levels; an already-false one means
-		// the assertions refute the assumption set — Unsat relative to the
-		// assumptions, which must NOT latch the permanent unsat flag.
-		if dl := s.core.decisionLevel(); dl < len(s.assumps) {
-			p := s.assumps[dl]
-			switch s.core.litValue(p) {
-			case assignTrue:
-				s.core.trailLim = append(s.core.trailLim, len(s.core.trail))
-				s.simp.push()
-			case assignFals:
-				s.assumpRelative = true
-				s.failedAssumps = s.core.analyzeFinal(p)
-				return Unsat, nil
-			default:
-				s.core.trailLim = append(s.core.trailLim, len(s.core.trail))
-				s.simp.push()
-				s.core.enqueue(p, 0)
-			}
 			continue
 		}
 
