@@ -17,14 +17,11 @@
 package gridattack_test
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
 	"gridattack"
 	"gridattack/internal/experiments"
-	"gridattack/internal/opf"
-	"gridattack/internal/smt"
 )
 
 // benchConflictBudget bounds SMT effort per query in the heavy sweeps.
@@ -347,72 +344,6 @@ func BenchmarkContingencyScreen118(b *testing.B) {
 		if _, err := gridattack.ScreenContingencies(g, g.TrueTopology(), sol.Flows); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Parallel-solving benches (DESIGN.md "Parallel impact analysis") ---
-
-// BenchmarkPortfolioCheck races N diversified solver replicas on an
-// unsatisfiable OPF feasibility instance (a below-optimal cost cap on the
-// IEEE 14-bus system) — the workload class where the portfolio helps most,
-// since any replica's unsat proof ends the race. Compare the sub-benchmarks
-// to read the speedup versus replica count; on a single-core machine all
-// levels degenerate to the sequential time plus cloning overhead.
-func BenchmarkPortfolioCheck(b *testing.B) {
-	c, err := gridattack.CaseByName("ieee14")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := c.Grid
-	base, err := gridattack.SolveOPF(g, g.TrueTopology(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("replicas=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := smt.NewSolver()
-				if _, err := opf.Encode(s, g, g.TrueTopology(), nil, base.Cost*0.99); err != nil {
-					b.Fatal(err)
-				}
-				res, err := s.CheckPortfolio(context.Background(), n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res != smt.Unsat {
-					b.Fatalf("got %v, want unsat", res)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAnalyzerParallel runs the full Fig. 2 loop on the paper's 5-bus
-// system with an unreachable target (exhaustion-dominated, as in Fig. 4(c))
-// at increasing Parallelism. The verdicts are identical at every level by
-// the determinism contract; only wall-clock time may differ.
-func BenchmarkAnalyzerParallel(b *testing.B) {
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				a := &gridattack.Analyzer{
-					Grid:                  gridattack.Paper5Bus(),
-					Plan:                  gridattack.Paper5PlanCase1(),
-					Capability:            gridattack.Capability{MaxMeasurements: 8, MaxBuses: 3, RequireTopologyChange: true},
-					TargetIncreasePercent: 50, // unreachable: forces exhaustion
-					OperatingDispatch:     gridattack.Paper5OperatingDispatch(),
-					Verify:                gridattack.VerifySMT,
-					Parallelism:           n,
-				}
-				rep, err := a.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !rep.Exhausted {
-					b.Fatal("expected exhaustion of the attack space")
-				}
-			}
-		})
 	}
 }
 

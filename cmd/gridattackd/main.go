@@ -28,7 +28,7 @@
 //	{
 //	  "default": {"name": "standard", "rate": 10, "burst": 20},
 //	  "tenants": {
-//	    "acme": {"name": "pro", "parallelism": 4},
+//	    "acme": {"name": "pro", "rate": 100, "burst": 200},
 //	    "guest": {"name": "free", "rate": 1, "burst": 3,
 //	              "query_timeout": "30s", "max_conflicts": 500000}
 //	  }
@@ -73,14 +73,15 @@ type tierSpec struct {
 	MaxConflicts int64   `json:"max_conflicts"`
 	MaxPivots    int64   `json:"max_pivots"`
 	QueryTimeout string  `json:"query_timeout"`
-	Parallelism  int     `json:"parallelism"`
+	// Parallelism is ignored: every analysis runs one sequential loop.
+	// Tier files that name it still load.
+	Parallelism int `json:"parallelism"`
 }
 
 func (ts tierSpec) tier() (serve.Tier, error) {
 	t := serve.Tier{
 		Name: ts.Name, Rate: ts.Rate, Burst: ts.Burst,
 		MaxConflicts: ts.MaxConflicts, MaxPivots: ts.MaxPivots,
-		Parallelism: ts.Parallelism,
 	}
 	if ts.QueryTimeout != "" {
 		d, err := time.ParseDuration(ts.QueryTimeout)

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	opfattack -input case.txt [-output result.txt] [-states] [-target 3]
-//	          [-verify lp|smt|shift] [-max-iter 200] [-parallel 0]
+//	          [-verify lp|smt|shift] [-max-iter 200]
 //	          [-certify] [-budget conflicts=N,pivots=N,time=DUR]
 //	          [-checkpoint run.journal] [-v]
 //	          [-cpuprofile cpu.out] [-memprofile mem.out]
@@ -57,7 +57,6 @@ func run(args []string, stdout io.Writer) error {
 		verifyMode = fs.String("verify", "lp", "OPF verification backend: lp, smt, or shift")
 		maxIter    = fs.Int("max-iter", 200, "maximum attack vectors to examine")
 		operating  = fs.String("operating", "", "pre-attack generation dispatch as comma-separated per-bus values (default: the OPF optimum)")
-		parallel   = fs.Int("parallel", 0, "worker goroutines for the analysis: 0 = all CPUs, 1 = sequential; verdicts are identical at every setting")
 		certify    = fs.Bool("certify", false, "check an independent certificate for every SMT verdict before trusting it")
 		budget     = fs.String("budget", "", "per-query solver budget as key=value pairs: conflicts=N, pivots=N, time=DURATION (e.g. conflicts=500000,time=30s)")
 		checkpoint = fs.String("checkpoint", "", "journal file for crash-resumable analysis; rerunning the same configuration resumes where the previous run stopped")
@@ -112,7 +111,6 @@ func run(args []string, stdout io.Writer) error {
 		Capability:            in.Capability,
 		TargetIncreasePercent: in.MinIncreasePercent,
 		MaxIterations:         *maxIter,
-		Parallelism:           *parallel,
 		Certify:               *certify,
 		CheckpointPath:        *checkpoint,
 	}

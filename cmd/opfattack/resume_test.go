@@ -84,7 +84,7 @@ func TestKillAndResume(t *testing.T) {
 	}
 	inPath := writeSynth57Input(t)
 	dir := t.TempDir()
-	common := []string{"-input", inPath, "-states", "-parallel", "1", "-max-iter", "3"}
+	common := []string{"-input", inPath, "-states", "-max-iter", "3"}
 
 	// Uninterrupted reference, in process.
 	refOut := filepath.Join(dir, "ref.txt")

@@ -26,9 +26,7 @@ type Model struct {
 	solver *smt.Solver
 
 	// b is the hash-consed expression builder all constraints are built
-	// through. It is shared by clones (Clone copies the pointer): the builder
-	// is only touched from the goroutine driving the analysis loop (NewModel,
-	// Block), never from the solver's search goroutines.
+	// through (NewModel, Block).
 	b *expr.Builder
 
 	// Boolean variable handles (indexed 1-based by line/measurement/bus).
@@ -333,24 +331,17 @@ func (m *Model) assertSomeTopologyChange() {
 }
 
 // FindVector searches for a stealthy attack vector. It returns nil (and no
-// error) when the attack space is exhausted (unsat).
+// error) when the attack space is exhausted (unsat). Under Certify, the
+// verdict's certificate is checked before it is returned, and a failed check
+// is an error.
 func (m *Model) FindVector() (*Vector, error) {
-	return m.FindVectorPortfolio(context.Background(), 1)
-}
-
-// FindVectorPortfolio is FindVector with context cancellation and a stable
-// solver portfolio of width n (n <= 1 runs the plain sequential search).
-// The stable portfolio guarantees the returned vector and the exhaustion
-// verdict are identical at every n, so parallel impact analysis enumerates
-// exactly the sequence of candidates the sequential analysis would.
-func (m *Model) FindVectorPortfolio(ctx context.Context, n int) (*Vector, error) {
 	m.solver.MaxConflicts = m.MaxConflicts
 	m.solver.MaxDuration = m.MaxDuration
 	m.solver.MaxPivots = m.MaxPivots
 	if m.Certify {
 		m.solver.Certify = true
 	}
-	res, err := m.solver.CheckPortfolioStable(ctx, n)
+	res, err := m.solver.CheckContext(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("attack: solver: %w", err)
 	}
@@ -358,18 +349,6 @@ func (m *Model) FindVectorPortfolio(ctx context.Context, n int) (*Vector, error)
 		return nil, nil
 	}
 	return m.extract(), nil
-}
-
-// Clone returns an independent copy of the model: the solver — including all
-// asserted constraints, blocked vectors, and search state — is deep-copied,
-// so Block and FindVector calls on the clone leave the original untouched.
-// The grid, plan, and variable-handle slices are shared (read-only after
-// construction). Clone is what lets the analyzer speculate on the next
-// candidate while the current one is still being verified.
-func (m *Model) Clone() *Model {
-	cp := *m
-	cp.solver = m.solver.Clone()
-	return &cp
 }
 
 func (m *Model) extract() *Vector {

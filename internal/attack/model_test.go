@@ -2,12 +2,14 @@ package attack
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"gridattack/internal/cases"
 	"gridattack/internal/grid"
 	"gridattack/internal/measure"
 	"gridattack/internal/se"
+	"gridattack/internal/smt"
 )
 
 // caseStudySetup returns the paper's 5-bus system at the case-study
@@ -78,6 +80,28 @@ func TestCaseStudy1AttackVector(t *testing.T) {
 	}
 	if math.Abs(total-g.TotalLoad()) > 1e-9 {
 		t.Errorf("total observed load %v != %v", total, g.TotalLoad())
+	}
+}
+
+// TestFindVectorRejectsSpoiledCertificate: an uncertified FindVector leaves
+// gaps in the solver's proof trace, so a later certified FindVector cannot
+// back its verdict and must return an error rather than the vector.
+func TestFindVectorRejectsSpoiledCertificate(t *testing.T) {
+	// Under the GRIDATTACK_CERTIFY lane every search certifies; pin the
+	// default off so the uncertified search happens.
+	defer smt.SetCertifyDefault(smt.SetCertifyDefault(false))
+	g, pf := caseStudySetup(t)
+	m, err := NewModel(g, cases.Paper5PlanCase1(), Capability{MaxMeasurements: 8, MaxBuses: 3, RequireTopologyChange: true}, pf)
+	if err != nil {
+		t.Fatalf("NewModel: %v", err)
+	}
+	if v, err := m.FindVector(); err != nil || v == nil {
+		t.Fatalf("uncertified FindVector = %v, %v; want the Case Study 1 vector", v, err)
+	}
+	m.Certify = true
+	v, err := m.FindVector()
+	if err == nil || !strings.Contains(err.Error(), "spoiled") {
+		t.Fatalf("certified FindVector after an uncertified one = %v, %v; want a spoiled-certificate error", v, err)
 	}
 }
 

@@ -17,8 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"gridattack/internal/attack"
@@ -98,12 +96,8 @@ type Analyzer struct {
 	// Verify selects the impact-verification backend; 0 selects VerifyLP.
 	Verify VerifyMode
 
-	// Parallelism is the number of worker goroutines the analysis may use:
-	// 0 selects runtime.GOMAXPROCS(0), 1 runs the exact sequential reference
-	// loop, and larger values enable the speculative find–verify pipeline
-	// plus stable solver portfolios. The report's verdicts (Found, Exhausted,
-	// the vector itself) are identical at every setting; only wall-clock
-	// time changes. See DESIGN.md, "Parallel impact analysis".
+	// Parallelism is ignored: every analysis runs the one sequential Fig. 2
+	// loop. It is read only by bench/gridbench.
 	Parallelism int
 
 	// MaxPivots bounds simplex pivots per SMT query (0 = unlimited); like
@@ -137,33 +131,15 @@ type Analyzer struct {
 	JournalObserver func(JournalRecord)
 }
 
-// statsAcc accumulates solver effort counters across one Run: the attack
-// model's solver lineage plus every OPF verification model. A mutex guards
-// it because verification models finish on worker goroutines under the
-// pipelined loop. It lives outside Analyzer so the Analyzer value stays
-// copyable (MaxAchievableIncrease passes it by value).
+// statsAcc accumulates solver effort counters across one Run or ladder:
+// the attack model's solver plus every OPF verification model.
 type statsAcc struct {
-	mu        sync.Mutex
 	st        smt.Stats
 	fallbacks int // VerifySMT candidates the exact model could not certify
 }
 
-func (a *statsAcc) add(st smt.Stats) {
-	a.mu.Lock()
-	a.st.Add(st)
-	a.mu.Unlock()
-}
-
-func (a *statsAcc) addFallback() {
-	a.mu.Lock()
-	a.fallbacks++
-	a.mu.Unlock()
-}
-
 // fill copies the accumulated counters into rep.
 func (a *statsAcc) fill(rep *Report) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	rep.SolverStats = a.st
 	rep.ExactFallbacks = a.fallbacks
 }
@@ -198,11 +174,10 @@ type Report struct {
 	LPStats struct{ Solves, WarmHits int }
 
 	// SolverStats aggregates SMT effort counters across the analysis: the
-	// attack model's solver lineage (clones inherit their parent's counters,
-	// so the surviving lineage reports cumulatively) plus every SMT-backed
-	// OPF verification model. LP and shift-factor verification contribute
-	// nothing. The arithmetic-kernel counters (Rat64FastOps vs Rat64BigOps)
-	// show how often the hybrid rationals stayed on the int64 fast path.
+	// attack model's solver plus every SMT-backed OPF verification model. LP
+	// and shift-factor verification contribute nothing. The arithmetic-kernel
+	// counters (Rat64FastOps vs Rat64BigOps) show how often the hybrid
+	// rationals stayed on the int64 fast path.
 	SolverStats smt.Stats
 
 	// ExactFallbacks counts the VerifySMT candidates whose OPF optimum the
@@ -227,11 +202,6 @@ func (a *Analyzer) Run() (*Report, error) {
 		return nil, err
 	}
 	threshold := base.Cost * (1 + a.TargetIncreasePercent/100)
-
-	par := a.Parallelism
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 
 	rep := &Report{BaselineCost: base.Cost, Threshold: threshold}
 	acc := &statsAcc{}
@@ -260,7 +230,7 @@ func (a *Analyzer) Run() (*Report, error) {
 			var reverify func(*attack.Vector) (float64, bool, error)
 			if a.verifyMode() == VerifyLP {
 				reverify = func(v *attack.Vector) (float64, bool, error) {
-					return a.verify(context.Background(), v, fac, threshold, 1, acc)
+					return a.verify(v, fac, threshold, acc)
 				}
 			}
 			done, err = a.replayCheckpoint(rep, model, jr, recs, maxIter, reverify)
@@ -269,24 +239,11 @@ func (a *Analyzer) Run() (*Report, error) {
 			}
 		}
 		if done {
-			acc.add(model.Solver().Stats())
+			acc.st.Add(model.Solver().Stats())
 			acc.fill(rep)
 			rep.Elapsed = time.Since(start)
 			return rep, nil
 		}
-	}
-
-	if par > 1 {
-		if rep.Iterations < maxIter {
-			if err := a.runPipelined(rep, model, fac, threshold, maxIter, par, jr, acc); err != nil {
-				return nil, err
-			}
-		} else {
-			acc.add(model.Solver().Stats())
-		}
-		acc.fill(rep)
-		rep.Elapsed = time.Since(start)
-		return rep, nil
 	}
 
 	for rep.Iterations < maxIter {
@@ -312,7 +269,7 @@ func (a *Analyzer) Run() (*Report, error) {
 		rep.Iterations++
 
 		t1 := time.Now()
-		cost, reached, err := a.verify(context.Background(), v, fac, threshold, 1, acc)
+		cost, reached, err := a.verify(v, fac, threshold, acc)
 		rep.VerifyTime += time.Since(t1)
 		if errors.Is(err, smt.ErrCanceled) {
 			rep.Canceled = true
@@ -339,7 +296,7 @@ func (a *Analyzer) Run() (*Report, error) {
 		}
 		model.Block(v, a.BlockPrecision)
 	}
-	acc.add(model.Solver().Stats())
+	acc.st.Add(model.Solver().Stats())
 	acc.fill(rep)
 	rep.Elapsed = time.Since(start)
 	return rep, nil
@@ -403,7 +360,7 @@ func (a *Analyzer) setup() (*opf.Solution, *attack.Model, *dist.Factors, error) 
 // against) a checkpoint journal's header.
 func (a *Analyzer) journalConfig(baseline, threshold float64, maxIter int) JournalConfig {
 	return JournalConfig{
-		Encoding:              certEncoding(a.Certify || smt.CertifyDefault()),
+		Encoding:              journalEncoding(a.Certify || smt.CertifyDefault()),
 		Buses:                 a.Grid.NumBuses(),
 		Lines:                 a.Grid.NumLines(),
 		BaselineCost:          baseline,
@@ -511,149 +468,11 @@ func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journa
 	return false, nil
 }
 
-// runPipelined executes the Fig. 2 loop with the speculative find–verify
-// pipeline: while candidate k is being verified, a clone of the attack model
-// speculatively searches for candidate k+1 under the assumption that k fails
-// (the common case — the clone blocks k exactly as the sequential loop
-// would). When the verification indeed fails, the clone and its result are
-// adopted wholesale, so the candidate sequence is bit-for-bit the sequential
-// one; when it succeeds, the speculation is interrupted and discarded.
-//
-// The verification runs a stable solver portfolio of width par-1, the
-// speculative search a sequential solver — together they occupy the par
-// workers the caller granted.
-func (a *Analyzer) runPipelined(rep *Report, model *attack.Model, fac *dist.Factors, threshold float64, maxIter, par int, jr *Journal, acc *statsAcc) error {
-	// The surviving attack-model lineage carries cumulative counters (Clone
-	// copies them), so reading the final model once covers the whole chain
-	// of speculative clones that became the model.
-	defer func() { acc.add(model.Solver().Stats()) }()
-	type verifyResult struct {
-		cost    float64
-		reached bool
-		err     error
-		elapsed time.Duration
-	}
-	type findResult struct {
-		v       *attack.Vector
-		err     error
-		elapsed time.Duration
-	}
-	ctx := context.Background()
-
-	// The first candidate has nothing to overlap with: give the search the
-	// full portfolio width.
-	t0 := time.Now()
-	v, err := model.FindVectorPortfolio(ctx, par)
-	rep.AttackSearchTime += time.Since(t0)
-	if errors.Is(err, smt.ErrCanceled) {
-		rep.Canceled = true
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-
-	for {
-		if v == nil {
-			rep.Exhausted = true
-			if jr != nil {
-				return jr.AppendFinal(false, true, nil, 0)
-			}
-			return nil
-		}
-		rep.Iterations++
-
-		vch := make(chan verifyResult, 1)
-		go func(v *attack.Vector) {
-			t := time.Now()
-			cost, reached, err := a.verify(ctx, v, fac, threshold, max(1, par-1), acc)
-			vch <- verifyResult{cost: cost, reached: reached, err: err, elapsed: time.Since(t)}
-		}(v)
-
-		// Speculate only when a further candidate could still be consumed
-		// within the iteration budget (this also keeps the Canceled flag
-		// identical to the sequential loop, which never runs that search).
-		var spec *attack.Model
-		var fch chan findResult
-		var cancelSpec context.CancelFunc
-		if rep.Iterations < maxIter {
-			spec = model.Clone()
-			spec.Block(v, a.BlockPrecision)
-			var sctx context.Context
-			sctx, cancelSpec = context.WithCancel(ctx)
-			fch = make(chan findResult, 1)
-			go func() {
-				t := time.Now()
-				nv, err := spec.FindVectorPortfolio(sctx, 1)
-				fch <- findResult{v: nv, err: err, elapsed: time.Since(t)}
-			}()
-		}
-
-		vr := <-vch
-		rep.VerifyTime += vr.elapsed
-		if vr.err == nil && jr != nil {
-			// The iteration is complete (candidate + verdict): journal it
-			// before acting on it, so a crash from here on resumes after it.
-			if jerr := jr.AppendIter(rep.Iterations, v, vr.cost, vr.reached); jerr != nil {
-				if cancelSpec != nil {
-					cancelSpec()
-					<-fch
-				}
-				return jerr
-			}
-		}
-		if vr.err != nil || vr.reached {
-			if cancelSpec != nil {
-				// Wrong speculation (or an error): interrupt the clone's
-				// search and join it before returning.
-				cancelSpec()
-				<-fch
-			}
-			if errors.Is(vr.err, smt.ErrCanceled) {
-				rep.Canceled = true
-				return nil
-			}
-			if vr.err != nil {
-				return vr.err
-			}
-			rep.Found = true
-			rep.Vector = v
-			rep.AttackedCost = vr.cost
-			if jr != nil {
-				return jr.AppendFinal(true, false, v, vr.cost)
-			}
-			return nil
-		}
-		if cancelSpec == nil {
-			// Iteration budget exhausted without a verdict — same exit as the
-			// sequential loop's bound.
-			return nil
-		}
-
-		// The candidate failed, so the speculation holds: the clone with the
-		// candidate blocked becomes the model, and its search result the next
-		// candidate — exactly what the sequential loop would compute next.
-		fr := <-fch
-		cancelSpec()
-		rep.AttackSearchTime += fr.elapsed
-		if errors.Is(fr.err, smt.ErrCanceled) {
-			rep.Canceled = true
-			return nil
-		}
-		if fr.err != nil {
-			return fr.err
-		}
-		model = spec
-		v = fr.v
-	}
-}
-
 // verify evaluates one candidate vector: the operator reruns OPF on the
 // poisoned topology with the attack's load estimates. An attack succeeds
 // when the resulting minimum cost is at least the threshold while OPF still
-// converges (Eq. 38: the attacker avoids non-convergent outcomes). par is
-// the solver-portfolio width for the SMT backend (<= 1 = sequential).
-func (a *Analyzer) verify(ctx context.Context, v *attack.Vector, fac *dist.Factors, threshold float64, par int, acc *statsAcc) (float64, bool, error) {
+// converges (Eq. 38: the attacker avoids non-convergent outcomes).
+func (a *Analyzer) verify(v *attack.Vector, fac *dist.Factors, threshold float64, acc *statsAcc) (float64, bool, error) {
 	switch mode := a.verifyMode(); mode {
 	case VerifyLP, VerifyShift:
 		cost, converged, err := a.opfCost(mode, v, fac)
@@ -661,15 +480,15 @@ func (a *Analyzer) verify(ctx context.Context, v *attack.Vector, fac *dist.Facto
 
 	case VerifySMT:
 		// The exact model answers both queries from one certified optimum.
-		em, err := a.exactModel(ctx, v)
+		em, err := a.exactModel(v)
 		if err == nil {
 			return 0, exactReached(em, threshold), nil
 		}
 		if !errors.Is(err, opf.ErrNotCertified) {
 			return 0, false, err
 		}
-		acc.addFallback()
-		reached, err := a.smtReached(ctx, v, threshold, par, acc)
+		acc.fallbacks++
+		reached, err := a.smtReached(v, threshold, acc)
 		return 0, reached, err
 
 	default:
@@ -682,18 +501,17 @@ func (a *Analyzer) verify(ctx context.Context, v *attack.Vector, fac *dist.Facto
 // query: the topology/load constraints are encoded once and the two cost
 // caps asserted in turn, the generous cap first because an assertion cannot
 // be retracted. Unsat at the generous cap implies unsat at the tight one, so
-// the order does not change the outcome. par is the solver-portfolio width
-// (<= 1 = sequential); the model's effort joins acc.
-func (a *Analyzer) smtReached(ctx context.Context, v *attack.Vector, threshold float64, par int, acc *statsAcc) (bool, error) {
+// the order does not change the outcome. The model's effort joins acc.
+func (a *Analyzer) smtReached(v *attack.Vector, threshold float64, acc *statsAcc) (bool, error) {
 	fm, err := opf.NewFeasibilityModel(a.Grid, v.MappedTopology, v.ObservedLoads, a.MaxConflicts, a.QueryTimeout)
 	if err != nil {
 		return false, err
 	}
-	defer func() { acc.add(fm.Stats()) }()
-	fm.Parallelism = par
+	defer func() { acc.st.Add(fm.Stats()) }()
 	fm.MaxPivots = a.MaxPivots
 	fm.Certify = a.Certify
 	// Eq. 38: OPF must converge for a generous budget...
+	ctx := context.Background()
 	converges, err := fm.CheckCostBelow(ctx, threshold*10)
 	if err != nil || !converges {
 		return false, err
@@ -709,7 +527,8 @@ func (a *Analyzer) smtReached(ctx context.Context, v *attack.Vector, threshold f
 // exactModel certifies candidate v's OPF optimum, under the deadline of one
 // QueryTimeout like a single SMT query; on expiry the error matches
 // smt.ErrCanceled.
-func (a *Analyzer) exactModel(ctx context.Context, v *attack.Vector) (*opf.ExactModel, error) {
+func (a *Analyzer) exactModel(v *attack.Vector) (*opf.ExactModel, error) {
+	ctx := context.Background()
 	if a.QueryTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, a.QueryTimeout)

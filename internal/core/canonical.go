@@ -15,11 +15,10 @@
 //     signal. Floats are therefore encoded as their IEEE-754 bit patterns.
 //
 // Configuration that cannot change a definitive verdict is deliberately
-// excluded from the key: Parallelism (verdicts are bit-identical at every
-// worker count, see DESIGN.md "Parallel impact analysis") and the resource
-// budgets MaxConflicts/MaxPivots/QueryTimeout (a budget can only turn a
-// definitive verdict into a Canceled one, and non-definitive results are
-// never cached — see the serve package's trust boundary).
+// excluded from the key: the resource budgets MaxConflicts/MaxPivots/
+// QueryTimeout (a budget can only turn a definitive verdict into a Canceled
+// one, and non-definitive results are never cached — see the serve
+// package's trust boundary).
 package core
 
 import (
@@ -137,11 +136,11 @@ func CanonicalProblemBytes(g *grid.Grid, p *measure.Plan, cap attack.Capability)
 	return b.Bytes()
 }
 
-// certEncoding is the encoding token of cache keys and journal headers. The
-// token once named the SMT encoding path, which certification forced to
-// "cold"; with one search path left it records only whether the analysis
-// certifies, under the old names so earlier keys and journals stay valid.
-func certEncoding(certify bool) string {
+// keyEncoding is the encoding token of cache keys. The token once named the
+// SMT encoding path, which certification forced to "cold"; with one search
+// path left it records only whether the analysis certifies, under the old
+// names so earlier keys stay valid.
+func keyEncoding(certify bool) string {
 	if certify {
 		return "cold"
 	}
@@ -165,7 +164,7 @@ func CacheKey(g *grid.Grid, p *measure.Plan, cap attack.Capability, kc KeyConfig
 	}
 	prec := kc.BlockPrecision
 	fmt.Fprintf(h, "cfg v1 verify=%d maxiter=%d prec=%016x certify=%t encoding=%s targets=",
-		int(mode), maxIter, math.Float64bits(prec), kc.Certify, certEncoding(kc.Certify))
+		int(mode), maxIter, math.Float64bits(prec), kc.Certify, keyEncoding(kc.Certify))
 	for _, t := range kc.Targets {
 		fmt.Fprintf(h, "%016x,", math.Float64bits(t))
 	}

@@ -12,8 +12,8 @@ import (
 	"gridattack/internal/smt"
 )
 
-// candidateStream walks the Fig. 2 candidate stream of a as Run does at
-// Parallelism 1 (FindVector, then Block), for up to a.MaxIterations
+// candidateStream walks the Fig. 2 candidate stream of a as Run does
+// (FindVector, then Block), for up to a.MaxIterations
 // candidates whether or not one of them reaches the target. It returns the
 // attack-free optimum and the candidates.
 func candidateStream(t *testing.T, a Analyzer) (float64, []*attack.Vector) {
@@ -142,7 +142,7 @@ func TestExactVerifyFallsBackToSMT(t *testing.T) {
 		t.Fatalf("exact model on an infeasible LP: %v, want ErrNotCertified", err)
 	}
 	acc := &statsAcc{}
-	cost, reached, err := a.verify(ctx, v, nil, 1e6, 1, acc)
+	cost, reached, err := a.verify(v, nil, 1e6, acc)
 	if err != nil || reached || cost != 0 {
 		t.Fatalf("verify = %v, %t, %v; want 0, false, nil", cost, reached, err)
 	}
@@ -157,7 +157,7 @@ func TestExactVerifyFallsBackToSMT(t *testing.T) {
 
 	acc = &statsAcc{}
 	open := []*rung{{rep: &Report{Threshold: 1e6}}, {rep: &Report{Threshold: 2e6}}}
-	if err := a.ladderVerify(ctx, VerifySMT, v, nil, open, acc); err != nil {
+	if err := a.ladderVerify(VerifySMT, v, nil, open, acc); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range open {
@@ -187,11 +187,11 @@ func TestExactVerifyHonoursQueryTimeout(t *testing.T) {
 	}
 	a.QueryTimeout = time.Nanosecond
 	acc := &statsAcc{}
-	if _, _, err := a.verify(context.Background(), vs[0], nil, 1e6, 1, acc); !errors.Is(err, smt.ErrCanceled) {
+	if _, _, err := a.verify(vs[0], nil, 1e6, acc); !errors.Is(err, smt.ErrCanceled) {
 		t.Fatalf("verify past its deadline: %v, want smt.ErrCanceled", err)
 	}
 	open := []*rung{{rep: &Report{Threshold: 1e6}}, {rep: &Report{Threshold: 2e6}}}
-	if err := a.ladderVerify(context.Background(), VerifySMT, vs[0], nil, open, acc); err != nil {
+	if err := a.ladderVerify(VerifySMT, vs[0], nil, open, acc); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range open {

@@ -32,10 +32,10 @@ const (
 // candidate sequence would not match the one the model regenerates.
 type JournalConfig struct {
 	// Encoding records whether the journaled run certified its SMT
-	// verdicts: "cold" if it did, "incremental" if not (see certEncoding).
-	// A resume must match it, so a certified analysis never trusts a
-	// verdict no checker saw, and an uncertified one never appends
-	// unchecked verdicts to a journal that claims them checked.
+	// verdicts (see journalEncoding). A resume must match it, so a
+	// certified analysis never trusts a verdict no checker saw, and an
+	// uncertified one never appends unchecked verdicts to a journal that
+	// claims them checked.
 	Encoding string `json:"encoding,omitempty"`
 
 	Buses                 int     `json:"buses"`
@@ -50,6 +50,18 @@ type JournalConfig struct {
 	MaxBuses              int     `json:"max_buses"`
 	States                bool    `json:"states"`
 	RequireTopologyChange bool    `json:"require_topology_change"`
+}
+
+// journalEncoding is the encoding token of a journal header: "certified"
+// when the run certifies, "incremental" when it does not. Earlier builds
+// wrote "cold" both for certified runs and for uncertified runs on the old
+// non-incremental path, so a "cold" header says nothing about certification
+// and matches neither token: such a journal is refused.
+func journalEncoding(certify bool) string {
+	if certify {
+		return "certified"
+	}
+	return "incremental"
 }
 
 // JournalRecord is one line of the checkpoint journal after the header.

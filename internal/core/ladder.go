@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -85,7 +84,6 @@ func (a *Analyzer) RunLadder(targets []float64) ([]*Report, error) {
 	}
 
 	acc := &statsAcc{}
-	ctx := context.Background()
 	iter := 0
 
 	for {
@@ -123,7 +121,7 @@ func (a *Analyzer) RunLadder(targets []float64) ([]*Report, error) {
 			r.rep.Iterations = iter
 		}
 
-		if err := a.ladderVerify(ctx, mode, v, fac, open, acc); err != nil {
+		if err := a.ladderVerify(mode, v, fac, open, acc); err != nil {
 			return nil, err
 		}
 
@@ -133,7 +131,7 @@ func (a *Analyzer) RunLadder(targets []float64) ([]*Report, error) {
 		model.Block(v, a.BlockPrecision)
 	}
 
-	acc.add(model.Solver().Stats())
+	acc.st.Add(model.Solver().Stats())
 	elapsed := time.Since(start)
 	reports := make([]*Report, len(rungs))
 	for i, r := range rungs {
@@ -152,7 +150,7 @@ type rung struct {
 
 // ladderVerify verifies one candidate against every open rung and resolves
 // the rungs it satisfies (or cancels).
-func (a *Analyzer) ladderVerify(ctx context.Context, mode VerifyMode, v *attack.Vector, fac *dist.Factors, open []*rung, acc *statsAcc) error {
+func (a *Analyzer) ladderVerify(mode VerifyMode, v *attack.Vector, fac *dist.Factors, open []*rung, acc *statsAcc) error {
 	switch mode {
 	case VerifyLP, VerifyShift:
 		t0 := time.Now()
@@ -178,7 +176,7 @@ func (a *Analyzer) ladderVerify(ctx context.Context, mode VerifyMode, v *attack.
 		// One exact model answers every open rung; a candidate it cannot
 		// certify falls back to the SMT model, one per open rung.
 		t0 := time.Now()
-		em, err := a.exactModel(ctx, v)
+		em, err := a.exactModel(v)
 		vt := time.Since(t0)
 		for _, r := range open {
 			r.rep.VerifyTime += vt
@@ -203,10 +201,10 @@ func (a *Analyzer) ladderVerify(ctx context.Context, mode VerifyMode, v *attack.
 		if !errors.Is(err, opf.ErrNotCertified) {
 			return err
 		}
-		acc.addFallback()
+		acc.fallbacks++
 		for _, r := range open {
 			t0 := time.Now()
-			reached, err := a.smtReached(ctx, v, r.rep.Threshold, 1, acc)
+			reached, err := a.smtReached(v, r.rep.Threshold, acc)
 			r.rep.VerifyTime += time.Since(t0)
 			if errors.Is(err, smt.ErrCanceled) {
 				// Budget exhaustion is per rung, exactly as the rung's own

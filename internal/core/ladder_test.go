@@ -22,7 +22,6 @@ func TestRunLadderMatchesIndependentRuns(t *testing.T) {
 			a := cs1Analyzer(ladderTargets[0])
 			a.Verify = mode
 			a.Certify = certify
-			a.Parallelism = 1
 			reps, err := a.RunLadder(ladderTargets)
 			if err != nil {
 				t.Fatalf("%v certify=%t: RunLadder: %v", mode, certify, err)
@@ -35,8 +34,8 @@ func TestRunLadderMatchesIndependentRuns(t *testing.T) {
 				ref := cs1Analyzer(target)
 				ref.Verify = mode
 				ref.Certify = certify
-				want := runAt(t, ref, 1)
-				requireSameVerdict(t, want, reps[i], 1)
+				want := runAt(t, ref)
+				requireSameVerdict(t, want, reps[i])
 				foundAny = foundAny || reps[i].Found
 			}
 			if !foundAny {
@@ -62,25 +61,47 @@ func TestRunLadderConfig(t *testing.T) {
 }
 
 // TestCheckpointResumesEitherEncoding: a journal header records
-// "encoding":"cold" for a certified run and "incremental" otherwise, as the
-// journals of earlier builds do. Each resumes, under the certification it
-// records, to the uninterrupted verdict, cut halfway through the iterations
-// or finalized.
+// "encoding":"certified" for a certified run and "incremental" otherwise.
+// Each resumes, under the certification it records, to the uninterrupted
+// verdict, cut halfway through the iterations or finalized. A "cold" header,
+// which earlier builds wrote for certified runs and for uncertified
+// non-incremental runs alike, resumes under neither: even finalized, it is
+// refused with ErrJournal.
 func TestCheckpointResumesEitherEncoding(t *testing.T) {
 	// Under the GRIDATTACK_CERTIFY lane every analysis certifies; pin the
 	// uncertified half.
 	defer smt.SetCertifyDefault(smt.SetCertifyDefault(false))
 	a := searchAnalyzer(t, "ieee14", 0, false, VerifyLP) // two candidates, then exhausted
-	ref := runAt(t, a, 1)
+	ref := runAt(t, a)
 	if !ref.Exhausted || ref.Iterations < 2 {
 		t.Fatalf("reference: exhausted=%t after %d iterations, want an exhausted multi-iteration run", ref.Exhausted, ref.Iterations)
 	}
 	dir := t.TempDir()
-	for _, enc := range []string{"incremental", "cold"} {
+	// rewrite writes recs under header cfg to a fresh journal.
+	rewrite := func(name string, cfg JournalConfig, recs []JournalRecord) string {
+		path := filepath.Join(dir, name+".journal")
+		w, err := CreateJournal(path, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		for _, r := range recs {
+			if r.Kind == RecIter {
+				err = w.AppendIter(r.Iter, r.Vector, r.Cost, r.Reached)
+			} else {
+				err = w.AppendFinal(r.Found, r.Exhausted, r.Vector, r.AttackedCost)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return path
+	}
+	for _, enc := range []string{"incremental", "certified"} {
 		b := a
-		b.Certify = enc == "cold"
+		b.Certify = enc == "certified"
 		b.CheckpointPath = filepath.Join(dir, enc+".journal")
-		runAt(t, b, 1)
+		runAt(t, b)
 		j, cfg, recs, err := OpenJournal(b.CheckpointPath)
 		if err != nil {
 			t.Fatal(err)
@@ -91,28 +112,25 @@ func TestCheckpointResumesEitherEncoding(t *testing.T) {
 		}
 
 		for _, keep := range []int{ref.Iterations / 2, len(recs)} {
-			path := filepath.Join(dir, fmt.Sprintf("%s-%d.journal", enc, keep))
-			w, err := CreateJournal(path, *cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range recs[:keep] {
-				if r.Kind == RecIter {
-					err = w.AppendIter(r.Iter, r.Vector, r.Cost, r.Reached)
-				} else {
-					err = w.AppendFinal(r.Found, r.Exhausted, r.Vector, r.AttackedCost)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			w.Close()
 			c := b
-			c.CheckpointPath = path
-			rep := runAt(t, c, 1)
-			requireSameVerdict(t, ref, rep, 1)
+			c.CheckpointPath = rewrite(fmt.Sprintf("%s-%d", enc, keep), *cfg, recs[:keep])
+			rep := runAt(t, c)
+			requireSameVerdict(t, ref, rep)
 			if want := min(keep, ref.Iterations); rep.ResumedIterations != want {
 				t.Errorf("%s journal with %d records: resumed %d iterations, want %d", enc, keep, rep.ResumedIterations, want)
+			}
+		}
+
+		if enc == "certified" {
+			cold := *cfg
+			cold.Encoding = "cold"
+			for _, certify := range []bool{true, false} {
+				c := b
+				c.Certify = certify
+				c.CheckpointPath = rewrite(fmt.Sprintf("cold-%t", certify), cold, recs)
+				if _, err := c.Run(); !errors.Is(err, ErrJournal) {
+					t.Errorf("certify=%t resume of a finalized \"cold\" journal: err=%v, want ErrJournal", certify, err)
+				}
 			}
 		}
 	}
@@ -132,7 +150,7 @@ func TestCheckpointEncodingMismatch(t *testing.T) {
 		a := cs1Analyzer(3)
 		a.Certify = certify
 		a.CheckpointPath = filepath.Join(t.TempDir(), "cs1enc.journal")
-		runAt(t, a, 1)
+		runAt(t, a)
 
 		b := a
 		b.Certify = !certify
@@ -149,7 +167,7 @@ func TestCheckpointEncodingMismatch(t *testing.T) {
 		}
 
 		// The same certification resumes the finalized run without solving.
-		rep := runAt(t, a, 1)
+		rep := runAt(t, a)
 		if rep.ResumedIterations != rep.Iterations {
 			t.Errorf("certify=%t: finalized re-run resumed %d of %d iterations", certify, rep.ResumedIterations, rep.Iterations)
 		}

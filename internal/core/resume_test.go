@@ -30,6 +30,39 @@ func cs1Analyzer(target float64) Analyzer {
 	}
 }
 
+// runAt runs a copy of the analyzer.
+func runAt(t *testing.T, a Analyzer) *Report {
+	t.Helper()
+	rep, err := a.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return rep
+}
+
+// requireSameVerdict asserts that two reports agree on everything except the
+// timing fields.
+func requireSameVerdict(t *testing.T, want, got *Report) {
+	t.Helper()
+	if got.Found != want.Found || got.Exhausted != want.Exhausted || got.Canceled != want.Canceled {
+		t.Fatalf("verdict diverged: found=%v exhausted=%v canceled=%v, want found=%v exhausted=%v canceled=%v",
+			got.Found, got.Exhausted, got.Canceled, want.Found, want.Exhausted, want.Canceled)
+	}
+	if got.Iterations != want.Iterations {
+		t.Errorf("examined %d vectors, want %d", got.Iterations, want.Iterations)
+	}
+	if got.BaselineCost != want.BaselineCost || got.Threshold != want.Threshold {
+		t.Errorf("baseline/threshold diverged: %v/%v, want %v/%v",
+			got.BaselineCost, got.Threshold, want.BaselineCost, want.Threshold)
+	}
+	if got.AttackedCost != want.AttackedCost {
+		t.Errorf("attacked cost %v, want %v", got.AttackedCost, want.AttackedCost)
+	}
+	if !reflect.DeepEqual(got.Vector, want.Vector) {
+		t.Errorf("found a different vector:\n  got:  %+v\n  want: %+v", got.Vector, want.Vector)
+	}
+}
+
 // truncateJournal copies the first 1+keepIters lines (header + iterations) of
 // src to a fresh path, cutting on line boundaries so the hash chain prefix
 // stays valid, and returns the new path.
@@ -61,7 +94,7 @@ func truncateJournal(t *testing.T, src string, keepIters int) string {
 // resumed reports must match the uninterrupted reference exactly.
 func TestCheckpointResumeFound(t *testing.T) {
 	a := cs1Analyzer(3)
-	ref := runAt(t, a, 1)
+	ref := runAt(t, a)
 	if !ref.Found {
 		t.Fatal("reference run must find the CS1 attack")
 	}
@@ -69,16 +102,16 @@ func TestCheckpointResumeFound(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "cs1.journal")
 	b := a
 	b.CheckpointPath = cp
-	full := runAt(t, b, 1)
-	requireSameVerdict(t, ref, full, 1)
+	full := runAt(t, b)
+	requireSameVerdict(t, ref, full)
 	if full.ResumedIterations != 0 {
 		t.Fatalf("fresh checkpointed run resumed %d iterations, want 0", full.ResumedIterations)
 	}
 
 	// The journal is finalized: a re-run must reconstruct the verdict from it
 	// without solving anything.
-	fast := runAt(t, b, 1)
-	requireSameVerdict(t, ref, fast, 1)
+	fast := runAt(t, b)
+	requireSameVerdict(t, ref, fast)
 	if fast.ResumedIterations != fast.Iterations {
 		t.Fatalf("finalized re-run: ResumedIterations=%d, Iterations=%d, want equal", fast.ResumedIterations, fast.Iterations)
 	}
@@ -95,8 +128,8 @@ func TestCheckpointResumeFound(t *testing.T) {
 		}
 		c := a
 		c.CheckpointPath = truncateJournal(t, cp, keep)
-		rep := runAt(t, c, 1)
-		requireSameVerdict(t, ref, rep, 1)
+		rep := runAt(t, c)
+		requireSameVerdict(t, ref, rep)
 		if rep.ResumedIterations != keep {
 			t.Errorf("resume after %d journaled iterations: ResumedIterations=%d", keep, rep.ResumedIterations)
 		}
@@ -108,7 +141,7 @@ func TestCheckpointResumeFound(t *testing.T) {
 // remaining enumeration.
 func TestCheckpointResumeExhausted(t *testing.T) {
 	a := cs1Analyzer(50) // unreachable target
-	ref := runAt(t, a, 1)
+	ref := runAt(t, a)
 	if !ref.Exhausted {
 		t.Fatal("reference run must exhaust the attack space")
 	}
@@ -116,47 +149,22 @@ func TestCheckpointResumeExhausted(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "cs1x.journal")
 	b := a
 	b.CheckpointPath = cp
-	requireSameVerdict(t, ref, runAt(t, b, 1), 1)
+	requireSameVerdict(t, ref, runAt(t, b))
 
 	keep := ref.Iterations / 2
 	c := a
 	c.CheckpointPath = truncateJournal(t, cp, keep)
-	rep := runAt(t, c, 1)
-	requireSameVerdict(t, ref, rep, 1)
+	rep := runAt(t, c)
+	requireSameVerdict(t, ref, rep)
 	if rep.ResumedIterations != keep {
 		t.Errorf("resumed %d iterations, want %d", rep.ResumedIterations, keep)
 	}
 
 	// Finalized fast path for the exhausted verdict.
-	fast := runAt(t, b, 1)
-	requireSameVerdict(t, ref, fast, 1)
+	fast := runAt(t, b)
+	requireSameVerdict(t, ref, fast)
 	if fast.ResumedIterations != ref.Iterations {
 		t.Errorf("finalized re-run resumed %d iterations, want %d", fast.ResumedIterations, ref.Iterations)
-	}
-}
-
-// TestCheckpointResumePipelined checks that the speculative find–verify
-// pipeline journals the same iteration sequence as the sequential loop, and
-// that a truncated journal resumes correctly at parallelism > 1.
-func TestCheckpointResumePipelined(t *testing.T) {
-	a := cs1Analyzer(3)
-	ref := runAt(t, a, 1)
-
-	cp := filepath.Join(t.TempDir(), "cs1p.journal")
-	b := a
-	b.CheckpointPath = cp
-	requireSameVerdict(t, ref, runAt(t, b, 2), 2)
-
-	keep := 1
-	if ref.Iterations < 2 {
-		keep = 0
-	}
-	c := a
-	c.CheckpointPath = truncateJournal(t, cp, keep)
-	rep := runAt(t, c, 2)
-	requireSameVerdict(t, ref, rep, 2)
-	if rep.ResumedIterations != keep {
-		t.Errorf("resumed %d iterations, want %d", rep.ResumedIterations, keep)
 	}
 }
 
@@ -166,7 +174,7 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "cs1.journal")
 	a := cs1Analyzer(3)
 	a.CheckpointPath = cp
-	runAt(t, a, 1)
+	runAt(t, a)
 
 	b := cs1Analyzer(4) // different target => different threshold
 	b.CheckpointPath = cp
@@ -197,7 +205,7 @@ func TestCheckpointCandidateMismatch(t *testing.T) {
 		cp := filepath.Join(t.TempDir(), "cs1.journal")
 		a := cs1Analyzer(3)
 		a.CheckpointPath = cp
-		runAt(t, a, 1)
+		runAt(t, a)
 
 		j, cfg, recs, err := OpenJournal(cp)
 		if err != nil {
@@ -315,13 +323,13 @@ func requireColdCosts(t *testing.T, what string, a Analyzer, rep *Report) {
 // TestCheckpointCrashPoints resumes the analysis from every state a crash
 // can leave the journal in — each record cut at its start, one byte in, and
 // one byte short of its newline — and requires the uninterrupted verdict
-// and the uninterrupted journal bytes every time. The reference journal, at
-// Parallelism 1 and 2, must hold only cold-solve costs.
+// and the uninterrupted journal bytes every time. The reference journal must
+// hold only cold-solve costs.
 func TestCheckpointCrashPoints(t *testing.T) {
 	dir := t.TempDir()
 	a := cs2Analyzer()
 	a.CheckpointPath = filepath.Join(dir, "ref.journal")
-	ref := runAt(t, a, 1)
+	ref := runAt(t, a)
 	full, err := os.ReadFile(a.CheckpointPath)
 	if err != nil {
 		t.Fatal(err)
@@ -329,17 +337,14 @@ func TestCheckpointCrashPoints(t *testing.T) {
 	if ref.Iterations < 3 || !ref.Found {
 		t.Fatalf("reference run: %d iterations, found=%v; the enumerator needs >= 3 and a verdict", ref.Iterations, ref.Found)
 	}
-	requireColdCosts(t, "parallelism 1", a, ref)
-	p2 := a
-	p2.CheckpointPath = filepath.Join(dir, "par2.journal")
-	requireColdCosts(t, "parallelism 2", p2, runAt(t, p2, 2))
+	requireColdCosts(t, "reference", a, ref)
 	for _, cut := range crashCuts(full) {
 		b := a
 		b.CheckpointPath = filepath.Join(dir, fmt.Sprintf("cut%d.journal", cut))
 		if err := os.WriteFile(b.CheckpointPath, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		requireResumedVerdict(t, fmt.Sprintf("cut at byte %d", cut), ref, runAt(t, b, 1))
+		requireResumedVerdict(t, fmt.Sprintf("cut at byte %d", cut), ref, runAt(t, b))
 		if got, err := os.ReadFile(b.CheckpointPath); err != nil || !bytes.Equal(got, full) {
 			t.Fatalf("cut at byte %d: resumed journal differs from the uninterrupted one (err=%v)", cut, err)
 		}
@@ -350,7 +355,7 @@ func TestCheckpointCrashPoints(t *testing.T) {
 // inside its header hold no journal, so the analysis starts fresh — on the
 // first run, not after a failed one.
 func TestCheckpointNoHeaderStartsFresh(t *testing.T) {
-	ref := runAt(t, cs1Analyzer(3), 1)
+	ref := runAt(t, cs1Analyzer(3))
 	for name, content := range map[string]string{
 		"empty":       "",
 		"torn header": `{"kind":"header","vers`,

@@ -115,9 +115,8 @@ func newSearchEntry(name string, rep *Report) searchEntry {
 }
 
 // searchAnalyzer configures scenario s (seed 100*s+1) of a registry system
-// with the limits of gridbench's analyze workloads, at Parallelism 1 and
-// without their wall-clock timeout: a timed-out query would make the pin
-// depend on the machine.
+// with the limits of gridbench's analyze workloads, without their wall-clock
+// timeout: a timed-out query would make the pin depend on the machine.
 func searchAnalyzer(t *testing.T, system string, s int, states bool, verify VerifyMode) Analyzer {
 	t.Helper()
 	c, err := cases.ByName(system)
@@ -129,7 +128,6 @@ func searchAnalyzer(t *testing.T, system string, s int, states bool, verify Veri
 	a.MaxIterations = 6
 	a.MaxConflicts = 2_000_000
 	a.Verify = verify
-	a.Parallelism = 1
 	return a
 }
 

@@ -195,7 +195,6 @@ func propAttackMonotone(sys *System, rng *rand.Rand) string {
 			Capability:            attack.Capability{RequireTopologyChange: true},
 			TargetIncreasePercent: target,
 			MaxIterations:         40,
-			Parallelism:           1,
 			Verify:                core.VerifyLP,
 		}
 		return a.Run()

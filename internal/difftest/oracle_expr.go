@@ -276,7 +276,6 @@ func checkLadderAB(sys *System, rng *rand.Rand) string {
 			Capability:            attack.Capability{RequireTopologyChange: true},
 			TargetIncreasePercent: target,
 			MaxIterations:         12,
-			Parallelism:           1,
 			Verify:                mode,
 			Certify:               certify,
 		}

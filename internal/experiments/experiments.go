@@ -63,10 +63,6 @@ type SweepConfig struct {
 	Scenarios    int      // defaults to ScenariosPerSystem
 	MaxConflicts int64
 	Verify       core.VerifyMode
-	// Parallelism is passed through to core.Analyzer.Parallelism; 0 keeps
-	// the sequential reference loop so published sweep numbers stay
-	// comparable across machines by default.
-	Parallelism int
 }
 
 func (c *SweepConfig) fill() {
@@ -103,10 +99,6 @@ func RunImpactSweep(cfg SweepConfig) ([]TimeRow, error) {
 			a.MaxConflicts = cfg.MaxConflicts
 			a.QueryTimeout = QueryTimeout
 			a.Verify = cfg.Verify
-			a.Parallelism = cfg.Parallelism
-			if a.Parallelism == 0 {
-				a.Parallelism = 1
-			}
 			rep, err := a.Run()
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s scenario %d: %w", name, s, err)
@@ -351,7 +343,6 @@ func RunCertificationOverhead(caseNames []string, maxConflicts int64) ([]CertOve
 			a.MaxConflicts = maxConflicts
 			a.QueryTimeout = QueryTimeout
 			a.Verify = core.VerifySMT
-			a.Parallelism = 1
 			a.Certify = certify
 			return a.Run()
 		}

@@ -103,7 +103,6 @@ type Config struct {
 	MonitorCapability    attack.Capability
 	MonitorMaxIterations int
 	MonitorTimeout       time.Duration
-	MonitorParallelism   int
 
 	// TestHook, when non-nil, runs after each cycle's journal append;
 	// returning false aborts the loop on the spot with no shutdown
@@ -269,7 +268,6 @@ func newCore(cfg Config) (*Supervisor, error) {
 		s.monitor.Capability = cfg.MonitorCapability
 		s.monitor.MaxIterations = cfg.MonitorMaxIterations
 		s.monitor.QueryTimeout = cfg.MonitorTimeout
-		s.monitor.Parallelism = cfg.MonitorParallelism
 	}
 	return s, nil
 }

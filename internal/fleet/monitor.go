@@ -42,7 +42,6 @@ type Monitor struct {
 	MaxIterations int
 	MaxConflicts  int64
 	QueryTimeout  time.Duration
-	Parallelism   int
 
 	cache  map[string][]MonitorVerdict
 	hits   int
@@ -179,7 +178,6 @@ func (m *Monitor) Check(cycle int, mapped grid.Topology, loads, dispatch []float
 		MaxConflicts:      m.MaxConflicts,
 		QueryTimeout:      m.QueryTimeout,
 		Verify:            core.VerifyLP,
-		Parallelism:       m.Parallelism,
 	}
 	reports, err := an.RunLadder(m.Targets)
 	if err != nil {

@@ -29,9 +29,8 @@ type FeasibilityModel struct {
 	// bench/gridbench.
 	Incremental bool
 
-	// Parallelism is the portfolio width for each query; values <= 1 run the
-	// plain sequential Check. The stable portfolio is used, so answers (and
-	// the witnessing dispatch) are identical at every width.
+	// Parallelism is ignored: every query runs one sequential search. It is
+	// read only by bench/gridbench.
 	Parallelism int
 
 	// MaxPivots bounds simplex pivots per query (0 = unlimited).
@@ -62,7 +61,8 @@ func NewFeasibilityModel(g *grid.Grid, t grid.Topology, loads []float64, maxConf
 // CheckCostBelow reports whether some dispatch serves the loads with total
 // cost <= costCap. Caps must be non-increasing across calls: a looser cap
 // than a previous one is an error, because the earlier tighter assertion
-// cannot be retracted.
+// cannot be retracted. Canceling ctx stops the query with smt.ErrCanceled;
+// under Certify a verdict whose certificate fails its check is an error.
 func (m *FeasibilityModel) CheckCostBelow(ctx context.Context, costCap float64) (bool, error) {
 	if m.hasCap && costCap > m.lastCap {
 		return false, fmt.Errorf("opf: cost cap %g loosens previous cap %g (caps must be non-increasing)", costCap, m.lastCap)
@@ -79,7 +79,7 @@ func (m *FeasibilityModel) CheckCostBelow(ctx context.Context, costCap float64) 
 	if m.Certify {
 		m.s.Certify = true
 	}
-	res, err := m.s.CheckPortfolioStable(ctx, m.Parallelism)
+	res, err := m.s.CheckContext(ctx)
 	if err != nil {
 		return false, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gridattack/internal/cases"
+	"gridattack/internal/smt"
 )
 
 // TestFeasibilityModelAgreesWithFreshQueries checks the reusable model
@@ -77,43 +78,29 @@ func TestFeasibilityModelRejectsLooserCap(t *testing.T) {
 	}
 }
 
-// TestFeasibilityModelParallelStable checks the portfolio path returns the
-// same answers as the sequential one.
-func TestFeasibilityModelParallelStable(t *testing.T) {
+// TestFeasibilityModelRejectsSpoiledCertificate: an uncertified query
+// leaves gaps in the solver's proof trace, so a later certified query cannot
+// back its verdict and must return an error rather than the answer.
+func TestFeasibilityModelRejectsSpoiledCertificate(t *testing.T) {
+	// Under the GRIDATTACK_CERTIFY lane every query certifies; pin the
+	// default off so the uncertified query happens.
+	defer smt.SetCertifyDefault(smt.SetCertifyDefault(false))
 	g := cases.Paper5Bus()
 	topo := g.TrueTopology()
 	base, err := Solve(g, topo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, factor := range []float64{1.5, 0.99} {
-		seqM, err := NewFeasibilityModel(g, topo, nil, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := seqM.CheckCostBelow(context.Background(), base.Cost*factor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parM, err := NewFeasibilityModel(g, topo, nil, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parM.Parallelism = 4
-		par, err := parM.CheckCostBelow(context.Background(), base.Cost*factor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq != par {
-			t.Errorf("factor %.2f: sequential %v, portfolio %v", factor, seq, par)
-		}
-		if seq && par {
-			sd, pd := seqM.Dispatch(), parM.Dispatch()
-			for i := range sd {
-				if sd[i] != pd[i] {
-					t.Errorf("factor %.2f: dispatch[%d] differs: %v vs %v", factor, i, sd[i], pd[i])
-				}
-			}
-		}
+	fm, err := NewFeasibilityModel(g, topo, nil, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := fm.CheckCostBelow(context.Background(), base.Cost*1.5); err != nil || !ok {
+		t.Fatalf("uncertified query = %v, %v; want feasible", ok, err)
+	}
+	fm.Certify = true
+	ok, err := fm.CheckCostBelow(context.Background(), base.Cost*1.5)
+	if err == nil || !strings.Contains(err.Error(), "spoiled") {
+		t.Fatalf("certified query after an uncertified one = %v, %v; want a spoiled-certificate error", ok, err)
 	}
 }

@@ -197,10 +197,10 @@ func TestKeyConfigSensitivity(t *testing.T) {
 		seen[k] = name
 	}
 
-	// Budgets and parallelism are transport-tier properties, not request
-	// fields, and are deliberately absent from KeyConfig: a budget can only
-	// withhold a verdict, never change one, and non-definitive results are
-	// never cached.
+	// Budgets are transport-tier properties, not request fields, and are
+	// deliberately absent from KeyConfig: a budget can only withhold a
+	// verdict, never change one, and non-definitive results are never
+	// cached.
 	c, err := cases.ByName("paper5")
 	if err != nil {
 		t.Fatal(err)

@@ -365,7 +365,6 @@ func (s *Server) solve(job *Job) (*Result, error) {
 		MaxIterations:  p.Req.MaxIterations,
 		BlockPrecision: p.Req.BlockPrecision,
 		Certify:        p.Req.Certify,
-		Parallelism:    job.Tier.parallelism(),
 		MaxConflicts:   job.Tier.MaxConflicts,
 		MaxPivots:      job.Tier.MaxPivots,
 		QueryTimeout:   job.Tier.QueryTimeout,

@@ -24,17 +24,6 @@ type Tier struct {
 	MaxPivots int64 `json:"max_pivots"`
 	// QueryTimeout bounds wall-clock time per solver query (0 = unlimited).
 	QueryTimeout time.Duration `json:"query_timeout"`
-	// Parallelism is the worker width one job of this tier may use inside
-	// its analysis (0 = 1: jobs are the unit of parallelism, the queue's
-	// sharded workers provide throughput).
-	Parallelism int `json:"parallelism"`
-}
-
-func (t Tier) parallelism() int {
-	if t.Parallelism <= 0 {
-		return 1
-	}
-	return t.Parallelism
 }
 
 // TenantStats counts one tenant's admission outcomes.

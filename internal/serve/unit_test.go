@@ -107,15 +107,6 @@ func TestTenantTokenBucket(t *testing.T) {
 	}
 }
 
-func TestTierParallelismDefault(t *testing.T) {
-	if got := (Tier{}).parallelism(); got != 1 {
-		t.Fatalf("zero tier parallelism = %d, want 1", got)
-	}
-	if got := (Tier{Parallelism: 4}).parallelism(); got != 4 {
-		t.Fatalf("parallelism = %d, want 4", got)
-	}
-}
-
 func TestEventLogFollowReplaysAndTails(t *testing.T) {
 	log := newEventLog()
 	log.append("queued", nil)

@@ -317,63 +317,6 @@ func tamperTheoryLit(cert *Certificate, step int, l literal) Certificate {
 	return mut
 }
 
-func TestPortfolioWinnerCertified(t *testing.T) {
-	s := newCertSolver()
-	pigeonhole(s, 6)
-	res, err := s.CheckPortfolioStable(context.Background(), 4)
-	if err != nil || res != Unsat {
-		t.Fatalf("CheckPortfolioStable = %v, %v; want Unsat", res, err)
-	}
-	cert := s.Certificate()
-	if cert == nil {
-		t.Fatal("no certificate after certified portfolio Unsat")
-	}
-	if err := cert.Verify(); err != nil {
-		t.Fatalf("portfolio winner certificate Verify() = %v", err)
-	}
-}
-
-// TestPortfolioReplicaPanicIsolated injects a panic into every helper
-// replica; the race must degrade to the primary's verdict instead of
-// crashing the process.
-func TestPortfolioReplicaPanicIsolated(t *testing.T) {
-	testReplicaFault = func(i int) {
-		if i != 0 {
-			panic("injected replica fault")
-		}
-	}
-	defer func() { testReplicaFault = nil }()
-
-	s := NewSolver()
-	x := s.NewReal("x")
-	s.Assert(atomCmp(x, OpGE, 3))
-	res, err := s.CheckPortfolio(context.Background(), 4)
-	if err != nil || res != Sat {
-		t.Fatalf("CheckPortfolio with panicking helpers = %v, %v; want Sat", res, err)
-	}
-	if got := s.RealValue(x); got.Cmp(big.NewRat(3, 1)) < 0 {
-		t.Fatalf("model x = %v, want >= 3", got)
-	}
-}
-
-// TestPortfolioAllReplicasPanic checks the all-fail path: the panic surfaces
-// as an ordinary error carrying the replica's stack.
-func TestPortfolioAllReplicasPanic(t *testing.T) {
-	testReplicaFault = func(int) { panic("injected replica fault") }
-	defer func() { testReplicaFault = nil }()
-
-	s := NewSolver()
-	x := s.NewReal("x")
-	s.Assert(atomCmp(x, OpGE, 3))
-	_, err := s.CheckPortfolio(context.Background(), 3)
-	if err == nil {
-		t.Fatal("CheckPortfolio succeeded although every replica panicked")
-	}
-	if !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("error does not identify the panic: %v", err)
-	}
-}
-
 // TestBCPInterruptResumes drives the SAT core directly: an interrupt in the
 // middle of unit propagation must leave the queue intact so a later call
 // finishes the fixpoint.

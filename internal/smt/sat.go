@@ -63,8 +63,7 @@ type satCore struct {
 	// Statistics.
 	decisions, conflicts, propagations int64
 
-	// Scratch buffers reused across calls (never cloned — clones start
-	// fresh): addBuf backs addClause's dedup pass, learntBuf the clause
+	// Scratch buffers reused across calls: addBuf backs addClause's dedup pass, learntBuf the clause
 	// analyze returns, seenBuf the conflict analysis marks (all-false
 	// between analyze calls by invariant).
 	addBuf    []literal
@@ -255,9 +254,6 @@ func (c *satCore) lits(cr cref) []literal {
 	n := cref(c.arena[cr] >> 1)
 	return c.arena[cr+1 : cr+1+n : cr+1+n]
 }
-
-// learned reports whether clause cr was derived rather than asserted.
-func (c *satCore) learned(cr cref) bool { return c.arena[cr]&learnedBit != 0 }
 
 func (c *satCore) attach(cr cref) {
 	lits := c.lits(cr)

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"sync/atomic"
@@ -162,15 +163,9 @@ type Solver struct {
 	lastCert   *Certificate
 
 	// interrupt, when non-nil and set, cancels an in-flight Check at the
-	// next poll point (installed by SetInterrupt; used by the portfolio and
-	// context-aware entry points).
+	// next poll point (installed by SetInterrupt; CheckContext's watcher sets
+	// it when the context is done).
 	interrupt *atomic.Bool
-
-	// Portfolio diversification knobs; zero values select the sequential
-	// solver's defaults. Set by diversify on portfolio helper replicas.
-	restartUnit int64  // conflicts per Luby restart unit (0 = lubyUnit)
-	rngState    uint64 // xorshift64 state for decision-phase flips (0 = off)
-	randFreq    uint64 // flip roughly one decision phase in randFreq
 
 	model      bool // a model is available from the last Check
 	modelDelta *big.Rat
@@ -190,32 +185,6 @@ func (s *Solver) SetInterrupt(flag *atomic.Bool) {
 // interrupted reports whether the external cancellation flag is set.
 func (s *Solver) interrupted() bool {
 	return s.interrupt != nil && s.interrupt.Load()
-}
-
-// diversify perturbs the replica's search heuristics so portfolio members
-// explore different regions of the search space: odd replicas invert their
-// saved branching polarities, the Luby restart unit cycles through 1x/2x/4x
-// scales, and a seeded xorshift flips roughly one decision polarity in 16.
-// Each replica stays fully deterministic for a given index.
-func (s *Solver) diversify(i int) {
-	if i%2 == 1 {
-		for v := range s.core.phase {
-			s.core.phase[v] = !s.core.phase[v]
-		}
-	}
-	s.restartUnit = int64(lubyUnit) << uint((i/2)%3)
-	s.rngState = 0x9E3779B97F4A7C15*uint64(i) + 0xD1B54A32D192ED03
-	s.randFreq = 16
-}
-
-// nextRand advances the replica's xorshift64 state.
-func (s *Solver) nextRand() uint64 {
-	x := s.rngState
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	s.rngState = x
-	return x
 }
 
 // NewSolver returns an empty solver. When the GRIDATTACK_CERTIFY environment
@@ -372,6 +341,45 @@ func (s *Solver) Check() (Result, error) {
 	return res, err
 }
 
+// CheckContext is Check with context cancellation: when ctx is canceled, the
+// search stops at its next poll point and returns ErrCanceled. A ctx without
+// a Done channel needs no watcher goroutine.
+//
+// Unlike Check, CheckContext returns only checked verdicts under Certify: it
+// verifies the certificate itself, unless self-check mode already did inside
+// Check, and turns a failed verification into an error.
+func (s *Solver) CheckContext(ctx context.Context) (Result, error) {
+	if ctx != nil && ctx.Done() != nil {
+		if ctx.Err() != nil {
+			return 0, ErrCanceled
+		}
+		var stop atomic.Bool
+		s.SetInterrupt(&stop)
+		finished := make(chan struct{})
+		watcherDone := make(chan struct{})
+		go func() {
+			defer close(watcherDone)
+			select {
+			case <-ctx.Done():
+				stop.Store(true)
+			case <-finished:
+			}
+		}()
+		defer func() {
+			close(finished)
+			<-watcherDone
+			s.SetInterrupt(nil)
+		}()
+	}
+	res, err := s.Check()
+	if err == nil && s.Certify && !s.selfCheck {
+		if verr := s.lastCert.Verify(); verr != nil {
+			return 0, fmt.Errorf("smt: certificate verification failed: %w", verr)
+		}
+	}
+	return res, err
+}
+
 // Certificate returns the certificate of the most recent successful Check,
 // or nil when the last Check did not produce one (Certify disabled, or the
 // Check ended in an error).
@@ -393,12 +401,8 @@ func (s *Solver) check() (Result, error) {
 	s.backtrackAll()
 
 	var conflictsAtStart = s.core.conflicts
-	restartUnit := s.restartUnit
-	if restartUnit <= 0 {
-		restartUnit = lubyUnit
-	}
 	restartCount := 1
-	conflictBudget := restartUnit * luby(restartCount)
+	conflictBudget := lubyUnit * luby(restartCount)
 	conflictsThisRestart := int64(0)
 	var deadline time.Time
 	if s.MaxDuration > 0 {
@@ -510,7 +514,7 @@ func (s *Solver) check() (Result, error) {
 
 		if conflictsThisRestart >= conflictBudget {
 			restartCount++
-			conflictBudget = restartUnit * luby(restartCount)
+			conflictBudget = lubyUnit * luby(restartCount)
 			conflictsThisRestart = 0
 			s.core.cancelUntil(0)
 			s.simp.popTo(0)
@@ -565,11 +569,7 @@ func (s *Solver) check() (Result, error) {
 		s.core.decisions++
 		s.core.trailLim = append(s.core.trailLim, len(s.core.trail))
 		s.simp.push()
-		pol := s.core.phase[v]
-		if s.rngState != 0 && s.nextRand()%s.randFreq == 0 {
-			pol = !pol // diversified replica: occasional random polarity
-		}
-		s.core.enqueue(mkLit(v, !pol), 0)
+		s.core.enqueue(mkLit(v, !s.core.phase[v]), 0)
 	}
 }
 

@@ -1,11 +1,15 @@
 package smt
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func mustCheck(t *testing.T, s *Solver) Result {
@@ -674,5 +678,154 @@ func TestMaxConflictsBudget(t *testing.T) {
 	}
 	if err != nil && !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("budget error does not match ErrBudgetExceeded: %v", err)
+	}
+}
+
+// pigeonhole asserts the unsatisfiable pigeonhole principle PHP(holes+1,
+// holes): holes+1 pigeons each in some hole, no hole holding two. CDCL
+// without symmetry reasoning needs exponential time in holes, which makes it
+// a reliable long-running instance for cancellation tests.
+func pigeonhole(s *Solver, holes int) {
+	pigeons := holes + 1
+	vars := make([][]int, pigeons)
+	for p := range vars {
+		vars[p] = make([]int, holes)
+		fs := make([]*Formula, holes)
+		for h := 0; h < holes; h++ {
+			vars[p][h] = s.NewBool(fmt.Sprintf("p%dh%d", p, h))
+			fs[h] = Bool(vars[p][h])
+		}
+		s.Assert(Or(fs...))
+	}
+	for h := 0; h < holes; h++ {
+		col := make([]int, pigeons)
+		for p := 0; p < pigeons; p++ {
+			col[p] = vars[p][h]
+		}
+		s.AssertAtMostK(col, 1)
+	}
+}
+
+// mixedInstance builds a small satisfiable QF_LRA instance exercising both
+// the boolean core and the simplex, returning variable handles for model
+// comparison.
+func mixedInstance(s *Solver) (a, b, x, y int) {
+	a = s.NewBool("a")
+	b = s.NewBool("b")
+	x = s.NewReal("x")
+	y = s.NewReal("y")
+	s.Assert(Or(Bool(a), Bool(b)))
+	s.Assert(Implies(Bool(a), AtomFloat(NewLinExpr().AddInt(1, x), OpGE, 2)))
+	s.Assert(Implies(Bool(b), AtomFloat(NewLinExpr().AddInt(1, x), OpLE, -1)))
+	s.Assert(AtomFloat(NewLinExpr().AddInt(1, x).AddInt(1, y), OpEQ, 5))
+	s.Assert(AtomFloat(NewLinExpr().AddInt(1, y), OpGE, 0))
+	return
+}
+
+// TestCheckContextMatchesCheck: under a live context, with and without
+// certification, CheckContext returns the verdict and the model a plain
+// Check computes.
+func TestCheckContextMatchesCheck(t *testing.T) {
+	for _, certify := range []bool{false, true} {
+		ref := NewSolver()
+		ref.Certify = certify
+		a, b, x, y := mixedInstance(ref)
+		if res := mustCheck(t, ref); res != Sat {
+			t.Fatalf("certify=%t: Check = %v, want sat", certify, res)
+		}
+		s := NewSolver()
+		s.Certify = certify
+		mixedInstance(s)
+		ctx, cancel := context.WithCancel(context.Background())
+		res, err := s.CheckContext(ctx)
+		cancel()
+		if err != nil || res != Sat {
+			t.Fatalf("certify=%t: CheckContext = %v, %v; want sat", certify, res, err)
+		}
+		if s.BoolValue(a) != ref.BoolValue(a) || s.BoolValue(b) != ref.BoolValue(b) ||
+			s.RealValue(x).Cmp(ref.RealValue(x)) != 0 || s.RealValue(y).Cmp(ref.RealValue(y)) != 0 {
+			t.Fatalf("certify=%t: CheckContext's model differs from Check's", certify)
+		}
+	}
+}
+
+// TestCheckContextRejectsSpoiledCertificate: once an uncertified Check has
+// spoiled the proof trace, a certified Check still answers (its certificate
+// reports the gap), but CheckContext turns the failed verification into an
+// error.
+func TestCheckContextRejectsSpoiledCertificate(t *testing.T) {
+	// Under the GRIDATTACK_CERTIFY lane no Check runs uncertified; pin the
+	// default off so the gap exists.
+	defer SetCertifyDefault(SetCertifyDefault(false))
+	s := NewSolver()
+	x := s.NewReal("x")
+	s.Assert(atomCmp(x, OpGE, 0))
+	if _, err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+	s.Certify = true
+	if _, err := s.Check(); err != nil {
+		t.Fatalf("Check with a spoiled trace: %v, want a verdict", err)
+	}
+	if _, err := s.CheckContext(context.Background()); err == nil {
+		t.Fatal("CheckContext returned a verdict whose certificate is spoiled")
+	}
+}
+
+func TestCheckContextPreCanceled(t *testing.T) {
+	s := NewSolver()
+	pigeonhole(s, 8)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.CheckContext(ctx); err != ErrCanceled {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+}
+
+// TestCheckContextCancellationMidSearch cancels a hard instance mid-search
+// and checks both that the cancellation is honored promptly and that the
+// watcher goroutine is not leaked.
+func TestCheckContextCancellationMidSearch(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := NewSolver()
+	pigeonhole(s, 12) // far beyond what solves in 30ms
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	start := time.Now()
+	_, err := s.CheckContext(ctx)
+	cancel()
+	if err != ErrCanceled {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("cancellation took %v", elapsed)
+	}
+	// The watcher goroutine must have exited. NumGoroutine is inherently
+	// racy against runtime helpers, so poll briefly.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if g := runtime.NumGoroutine(); g <= before {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestMaxDurationHonored runs a hard instance under MaxDuration (the
+// solver's own budget rather than a context) and expects the search to stop
+// on its own.
+func TestMaxDurationHonored(t *testing.T) {
+	s := NewSolver()
+	pigeonhole(s, 12)
+	s.MaxDuration = 30 * time.Millisecond
+	start := time.Now()
+	_, err := s.Check()
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want a budget error matching ErrCanceled and ErrBudgetExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("deadline took %v to be honored", elapsed)
 	}
 }
