@@ -13,6 +13,7 @@ import (
 	"gridattack/internal/cases"
 	"gridattack/internal/core"
 	"gridattack/internal/dist"
+	"gridattack/internal/grid"
 	"gridattack/internal/linalg/sparse"
 	"gridattack/internal/opf"
 )
@@ -67,6 +68,48 @@ func BenchmarkOPFSolve300(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(sol.Pivots), "pivots/op")
+}
+
+// BenchmarkOPFReoptimize300 is internal/opf's BenchmarkOPFReoptimize on
+// synth300: one LP verification re-optimized from the true topology's
+// baseline, for the first in-service line whose exclusion keeps the OPF
+// feasible, with that line's flow moved onto the loads of its end buses.
+// BenchmarkOPFSolve300 is the cold solve it replaces.
+func BenchmarkOPFReoptimize300(b *testing.B) {
+	c, err := cases.ByName("synth300")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := c.Grid
+	ws := opf.NewWarmSolver(g)
+	base, err := ws.Baseline()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var topo grid.Topology
+	var loads []float64
+	for _, id := range g.InServiceLines() {
+		ln := g.Lines[id-1]
+		topo, loads = g.TrueTopology().WithExcluded(id), g.LoadVector()
+		loads[ln.From-1] += base.Flows[id-1]
+		loads[ln.To-1] -= base.Flows[id-1]
+		if _, err = ws.SolveTopology(topo, loads); err == nil {
+			break
+		}
+	}
+	if err != nil {
+		b.Fatal("no feasible single-line exclusion")
+	}
+	before := ws.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ws.SolveTopology(topo, loads); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st := ws.Stats()
+	b.ReportMetric(float64(st.Pivots-before.Pivots)/float64(st.Reopts-before.Reopts), "pivots/op")
 }
 
 // BenchmarkSparseSubstrate1354 measures the sparse numeric substrate on the

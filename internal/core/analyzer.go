@@ -138,10 +138,15 @@ type statsAcc struct {
 	fallbacks int // VerifySMT candidates the exact model could not certify
 }
 
-// fill copies the accumulated counters into rep.
-func (a *statsAcc) fill(rep *Report) {
+// fill copies the accumulated counters, and ws's LP counts when ws is set,
+// into rep.
+func (a *statsAcc) fill(rep *Report, ws *opf.WarmSolver) {
 	rep.SolverStats = a.st
 	rep.ExactFallbacks = a.fallbacks
+	if ws != nil {
+		st := ws.Stats()
+		rep.LPStats.Solves, rep.LPStats.WarmHits = st.Solves, st.Reopts
+	}
 }
 
 // Report is the outcome of one analysis run.
@@ -169,8 +174,10 @@ type Report struct {
 	// only by bench/gridbench.
 	PrescreenPruned int
 
-	// LPStats is always zero: every LP verification is one cold solve.
-	// Read only by bench/gridbench.
+	// LPStats counts the LP verifications of a Run or ladder (Solves) and
+	// those of them re-optimized from the attack-free baseline (WarmHits);
+	// the rest, the candidates that include a line, are cold solves. It is
+	// zero under VerifySMT and VerifyShift.
 	LPStats struct{ Solves, WarmHits int }
 
 	// SolverStats aggregates SMT effort counters across the analysis: the
@@ -197,7 +204,7 @@ func (a *Analyzer) Run() (*Report, error) {
 		return nil, fmt.Errorf("%w: target increase must be positive", ErrConfig)
 	}
 	maxIter := a.maxIterations()
-	base, model, fac, err := a.setup()
+	ws, base, model, fac, err := a.setup()
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +237,7 @@ func (a *Analyzer) Run() (*Report, error) {
 			var reverify func(*attack.Vector) (float64, bool, error)
 			if a.verifyMode() == VerifyLP {
 				reverify = func(v *attack.Vector) (float64, bool, error) {
-					return a.verify(v, fac, threshold, acc)
+					return a.verify(v, ws, fac, threshold, acc)
 				}
 			}
 			done, err = a.replayCheckpoint(rep, model, jr, recs, maxIter, reverify)
@@ -240,7 +247,7 @@ func (a *Analyzer) Run() (*Report, error) {
 		}
 		if done {
 			acc.st.Add(model.Solver().Stats())
-			acc.fill(rep)
+			acc.fill(rep, ws)
 			rep.Elapsed = time.Since(start)
 			return rep, nil
 		}
@@ -269,7 +276,7 @@ func (a *Analyzer) Run() (*Report, error) {
 		rep.Iterations++
 
 		t1 := time.Now()
-		cost, reached, err := a.verify(v, fac, threshold, acc)
+		cost, reached, err := a.verify(v, ws, fac, threshold, acc)
 		rep.VerifyTime += time.Since(t1)
 		if errors.Is(err, smt.ErrCanceled) {
 			rep.Canceled = true
@@ -297,7 +304,7 @@ func (a *Analyzer) Run() (*Report, error) {
 		model.Block(v, a.BlockPrecision)
 	}
 	acc.st.Add(model.Solver().Stats())
-	acc.fill(rep)
+	acc.fill(rep, ws)
 	rep.Elapsed = time.Since(start)
 	return rep, nil
 }
@@ -319,14 +326,16 @@ func (a *Analyzer) maxIterations() int {
 }
 
 // setup prepares what Run and RunLadder share before the Fig. 2 loop: the
-// attack-free OPF optimum, the attack model at the operating point with the
-// per-query budgets and Certify, and the shift factors VerifyShift needs
-// (nil otherwise).
-func (a *Analyzer) setup() (*opf.Solution, *attack.Model, *dist.Factors, error) {
+// warm solver that holds the attack-free OPF optimum and re-optimizes every
+// LP verification from it, that optimum, the attack model at the operating
+// point with the per-query budgets and Certify, and the shift factors
+// VerifyShift needs (nil otherwise).
+func (a *Analyzer) setup() (*opf.WarmSolver, *opf.Solution, *attack.Model, *dist.Factors, error) {
 	trueTopo := a.Grid.TrueTopology()
-	base, err := opf.Solve(a.Grid, trueTopo, nil)
+	ws := opf.NewWarmSolver(a.Grid)
+	base, err := ws.Baseline()
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: attack-free OPF: %w", err)
+		return nil, nil, nil, nil, fmt.Errorf("core: attack-free OPF: %w", err)
 	}
 	dispatch := a.OperatingDispatch
 	if dispatch == nil {
@@ -334,12 +343,12 @@ func (a *Analyzer) setup() (*opf.Solution, *attack.Model, *dist.Factors, error) 
 	}
 	pf, err := a.Grid.SolvePowerFlow(trueTopo, dispatch)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: operating point: %w", err)
+		return nil, nil, nil, nil, fmt.Errorf("core: operating point: %w", err)
 	}
 
 	model, err := attack.NewModel(a.Grid, a.Plan, a.Capability, pf)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	model.MaxConflicts = a.MaxConflicts
 	model.MaxDuration = a.QueryTimeout
@@ -350,10 +359,10 @@ func (a *Analyzer) setup() (*opf.Solution, *attack.Model, *dist.Factors, error) 
 	if a.Verify == VerifyShift {
 		fac, err = dist.New(a.Grid, trueTopo)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: shift factors: %w", err)
+			return nil, nil, nil, nil, fmt.Errorf("core: shift factors: %w", err)
 		}
 	}
-	return base, model, fac, nil
+	return ws, base, model, fac, nil
 }
 
 // journalConfig builds the configuration fingerprint stored in (and checked
@@ -420,8 +429,9 @@ func (a *Analyzer) openCheckpoint(cfg JournalConfig, rep *Report) (*Journal, []J
 // are recomputed — the solver's learned clauses and heuristic state are what
 // make the candidate sequence deterministic, so that state must be rebuilt —
 // but the journaled verification verdicts are reused. reverify, when set,
-// re-solves a candidate's verification (one cold LP solve) as a check: its
-// cost and reached flag must equal the journaled ones bit for bit.
+// re-solves a candidate's verification (one re-optimization from the
+// baseline, or a cold solve for an inclusion) as a check: its cost and
+// reached flag must equal the journaled ones bit for bit.
 // Each regenerated candidate must match the journal exactly; a mismatch
 // means the journal belongs to a different problem. Returns done=true when
 // the replay reached a definitive verdict.
@@ -472,10 +482,10 @@ func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journa
 // poisoned topology with the attack's load estimates. An attack succeeds
 // when the resulting minimum cost is at least the threshold while OPF still
 // converges (Eq. 38: the attacker avoids non-convergent outcomes).
-func (a *Analyzer) verify(v *attack.Vector, fac *dist.Factors, threshold float64, acc *statsAcc) (float64, bool, error) {
+func (a *Analyzer) verify(v *attack.Vector, ws *opf.WarmSolver, fac *dist.Factors, threshold float64, acc *statsAcc) (float64, bool, error) {
 	switch mode := a.verifyMode(); mode {
 	case VerifyLP, VerifyShift:
-		cost, converged, err := a.opfCost(mode, v, fac)
+		cost, converged, err := a.opfCost(mode, v, ws, fac)
 		return cost, converged && cost >= threshold, err
 
 	case VerifySMT:

@@ -142,12 +142,12 @@ func TestExactVerifyFallsBackToSMT(t *testing.T) {
 		t.Fatalf("exact model on an infeasible LP: %v, want ErrNotCertified", err)
 	}
 	acc := &statsAcc{}
-	cost, reached, err := a.verify(v, nil, 1e6, acc)
+	cost, reached, err := a.verify(v, nil, nil, 1e6, acc)
 	if err != nil || reached || cost != 0 {
 		t.Fatalf("verify = %v, %t, %v; want 0, false, nil", cost, reached, err)
 	}
 	var rep Report
-	acc.fill(&rep)
+	acc.fill(&rep, nil)
 	if rep.ExactFallbacks != 1 {
 		t.Fatalf("ExactFallbacks = %d, want 1", rep.ExactFallbacks)
 	}
@@ -157,7 +157,7 @@ func TestExactVerifyFallsBackToSMT(t *testing.T) {
 
 	acc = &statsAcc{}
 	open := []*rung{{rep: &Report{Threshold: 1e6}}, {rep: &Report{Threshold: 2e6}}}
-	if err := a.ladderVerify(VerifySMT, v, nil, open, acc); err != nil {
+	if err := a.ladderVerify(VerifySMT, v, nil, nil, open, acc); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range open {
@@ -166,7 +166,7 @@ func TestExactVerifyFallsBackToSMT(t *testing.T) {
 		}
 	}
 	var ladder Report
-	acc.fill(&ladder)
+	acc.fill(&ladder, nil)
 	if ladder.ExactFallbacks != 1 {
 		t.Fatalf("ladder ExactFallbacks = %d, want 1", ladder.ExactFallbacks)
 	}
@@ -187,11 +187,11 @@ func TestExactVerifyHonoursQueryTimeout(t *testing.T) {
 	}
 	a.QueryTimeout = time.Nanosecond
 	acc := &statsAcc{}
-	if _, _, err := a.verify(vs[0], nil, 1e6, acc); !errors.Is(err, smt.ErrCanceled) {
+	if _, _, err := a.verify(vs[0], nil, nil, 1e6, acc); !errors.Is(err, smt.ErrCanceled) {
 		t.Fatalf("verify past its deadline: %v, want smt.ErrCanceled", err)
 	}
 	open := []*rung{{rep: &Report{Threshold: 1e6}}, {rep: &Report{Threshold: 2e6}}}
-	if err := a.ladderVerify(VerifySMT, vs[0], nil, open, acc); err != nil {
+	if err := a.ladderVerify(VerifySMT, vs[0], nil, nil, open, acc); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range open {
@@ -200,7 +200,7 @@ func TestExactVerifyHonoursQueryTimeout(t *testing.T) {
 		}
 	}
 	var rep Report
-	acc.fill(&rep)
+	acc.fill(&rep, nil)
 	if rep.ExactFallbacks != 0 {
 		t.Errorf("a timed-out check counted %d fallbacks", rep.ExactFallbacks)
 	}

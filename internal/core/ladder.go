@@ -22,9 +22,10 @@ import (
 // ladder therefore enumerates that sequence once and verifies every
 // candidate against all still-unresolved rungs:
 //
-//   - Under VerifyLP / VerifyShift one OPF solve per candidate yields the
-//     post-attack minimum cost, which is compared against every rung's
-//     threshold for free.
+//   - Under VerifyLP / VerifyShift one OPF solve per candidate (under
+//     VerifyLP a re-optimization from the baseline) yields the post-attack
+//     minimum cost, which is compared against every rung's threshold for
+//     free.
 //   - Under VerifySMT one exact model per candidate (opf.NewExactModel)
 //     certifies the exact OPF optimum, which answers every rung's Eq. 38/37
 //     query pair. A candidate it cannot certify goes to Run's SMT fallback
@@ -61,7 +62,7 @@ func (a *Analyzer) RunLadder(targets []float64) ([]*Report, error) {
 	}
 	maxIter := a.maxIterations()
 	mode := a.verifyMode()
-	base, model, fac, err := a.setup()
+	ws, base, model, fac, err := a.setup()
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +122,7 @@ func (a *Analyzer) RunLadder(targets []float64) ([]*Report, error) {
 			r.rep.Iterations = iter
 		}
 
-		if err := a.ladderVerify(mode, v, fac, open, acc); err != nil {
+		if err := a.ladderVerify(mode, v, ws, fac, open, acc); err != nil {
 			return nil, err
 		}
 
@@ -135,7 +136,7 @@ func (a *Analyzer) RunLadder(targets []float64) ([]*Report, error) {
 	elapsed := time.Since(start)
 	reports := make([]*Report, len(rungs))
 	for i, r := range rungs {
-		acc.fill(r.rep)
+		acc.fill(r.rep, ws)
 		r.rep.Elapsed = elapsed
 		reports[i] = r.rep
 	}
@@ -150,11 +151,11 @@ type rung struct {
 
 // ladderVerify verifies one candidate against every open rung and resolves
 // the rungs it satisfies (or cancels).
-func (a *Analyzer) ladderVerify(mode VerifyMode, v *attack.Vector, fac *dist.Factors, open []*rung, acc *statsAcc) error {
+func (a *Analyzer) ladderVerify(mode VerifyMode, v *attack.Vector, ws *opf.WarmSolver, fac *dist.Factors, open []*rung, acc *statsAcc) error {
 	switch mode {
 	case VerifyLP, VerifyShift:
 		t0 := time.Now()
-		cost, converged, err := a.opfCost(mode, v, fac)
+		cost, converged, err := a.opfCost(mode, v, ws, fac)
 		vt := time.Since(t0)
 		for _, r := range open {
 			r.rep.VerifyTime += vt
@@ -231,13 +232,14 @@ func (a *Analyzer) ladderVerify(mode VerifyMode, v *attack.Vector, fac *dist.Fac
 }
 
 // opfCost computes the candidate's exact post-attack OPF minimum for the
-// cost-based verification modes (one cold solve). converged=false reports
-// Eq. 38 non-convergence (never a success, at any threshold).
-func (a *Analyzer) opfCost(mode VerifyMode, v *attack.Vector, fac *dist.Factors) (cost float64, converged bool, err error) {
+// cost-based verification modes: under VerifyLP, one re-optimization from
+// the baseline in ws. converged=false reports Eq. 38 non-convergence (never
+// a success, at any threshold).
+func (a *Analyzer) opfCost(mode VerifyMode, v *attack.Vector, ws *opf.WarmSolver, fac *dist.Factors) (cost float64, converged bool, err error) {
 	var sol *opf.Solution
 	switch mode {
 	case VerifyLP:
-		sol, err = opf.Solve(a.Grid, v.MappedTopology, v.ObservedLoads)
+		sol, err = ws.SolveTopology(v.MappedTopology, v.ObservedLoads)
 	case VerifyShift:
 		outage := 0
 		if len(v.ExcludedLines) == 1 && len(v.IncludedLines) == 0 {

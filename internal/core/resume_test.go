@@ -282,31 +282,34 @@ func requireResumedVerdict(t *testing.T, what string, ref, got *Report) {
 	}
 }
 
-// requireColdCosts asserts that a journaled LP run is history-independent:
-// every iteration's cost, and the final attacked cost, is the cold opf.Solve
-// cost of that record's vector, bit for bit (0 where the OPF does not
-// converge).
-func requireColdCosts(t *testing.T, what string, a Analyzer, rep *Report) {
+// requireFreshCosts asserts that a journaled LP run is history-independent:
+// every iteration's cost, and the final attacked cost, is bit for bit the
+// cost a fresh opf.WarmSolver gives that record's vector, and agrees with a
+// cold opf.Solve within 1e-9 relative (0 where the OPF does not converge).
+func requireFreshCosts(t *testing.T, what string, a Analyzer, rep *Report) {
 	t.Helper()
 	j, _, recs, err := OpenJournal(a.CheckpointPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	cold := func(v *attack.Vector) float64 {
-		sol, err := opf.Solve(a.Grid, v.MappedTopology, v.ObservedLoads)
+	cost := func(sol *opf.Solution, err error) float64 {
 		if errors.Is(err, opf.ErrInfeasible) {
 			return 0
 		}
 		if err != nil {
-			t.Fatalf("%s: cold solve: %v", what, err)
+			t.Fatalf("%s: %v", what, err)
 		}
 		return sol.Cost
 	}
 	check := func(name string, got float64, v *attack.Vector) {
-		if want := cold(v); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: %s cost %#x, a cold opf.Solve of its vector gives %#x",
-				what, name, math.Float64bits(got), math.Float64bits(want))
+		fresh := cost(opf.NewWarmSolver(a.Grid).SolveTopology(v.MappedTopology, v.ObservedLoads))
+		if math.Float64bits(got) != math.Float64bits(fresh) {
+			t.Fatalf("%s: %s cost %#x, a fresh WarmSolver of its vector gives %#x",
+				what, name, math.Float64bits(got), math.Float64bits(fresh))
+		}
+		if cold := cost(opf.Solve(a.Grid, v.MappedTopology, v.ObservedLoads)); math.Abs(got-cold) > 1e-9*math.Abs(cold) {
+			t.Fatalf("%s: %s cost %v, a cold opf.Solve of its vector gives %v", what, name, got, cold)
 		}
 	}
 	for _, r := range recs {
@@ -323,8 +326,8 @@ func requireColdCosts(t *testing.T, what string, a Analyzer, rep *Report) {
 // TestCheckpointCrashPoints resumes the analysis from every state a crash
 // can leave the journal in — each record cut at its start, one byte in, and
 // one byte short of its newline — and requires the uninterrupted verdict
-// and the uninterrupted journal bytes every time. The reference journal must
-// hold only cold-solve costs.
+// and the uninterrupted journal bytes every time. Every cost in the
+// reference journal must be the one a fresh warm solver gives its vector.
 func TestCheckpointCrashPoints(t *testing.T) {
 	dir := t.TempDir()
 	a := cs2Analyzer()
@@ -337,7 +340,7 @@ func TestCheckpointCrashPoints(t *testing.T) {
 	if ref.Iterations < 3 || !ref.Found {
 		t.Fatalf("reference run: %d iterations, found=%v; the enumerator needs >= 3 and a verdict", ref.Iterations, ref.Found)
 	}
-	requireColdCosts(t, "reference", a, ref)
+	requireFreshCosts(t, "reference", a, ref)
 	for _, cut := range crashCuts(full) {
 		b := a
 		b.CheckpointPath = filepath.Join(dir, fmt.Sprintf("cut%d.journal", cut))

@@ -294,12 +294,16 @@ func opfOracleRelaxed(g *grid.Grid, t grid.Topology, loads []float64, relax *big
 
 // checkOPF cross-validates opf.Solve against the exact oracle on the true
 // topology (and, when mapped-line removal keeps the network connected, on
-// one perturbed topology too). Empty return means agreement.
+// one perturbed topology too). On that reduced topology it also judges the
+// re-optimization from the true topology's WarmSolver, at the grid's loads
+// and with the removed line's flow moved onto its end buses' loads. Empty
+// return means agreement.
 func checkOPF(sys *System) string {
 	g := sys.Grid
 	topos := []grid.Topology{g.TrueTopology()}
 	// One reduced topology, if some line can be dropped without splitting.
 	full := g.TrueTopology()
+	var removed grid.Line
 	for _, ln := range g.Lines {
 		if !full.Contains(ln.ID) {
 			continue
@@ -307,6 +311,7 @@ func checkOPF(sys *System) string {
 		cand := full.WithExcluded(ln.ID)
 		if g.Connected(cand) {
 			topos = append(topos, cand)
+			removed = ln
 			break
 		}
 	}
@@ -316,28 +321,59 @@ func checkOPF(sys *System) string {
 			return fmt.Sprintf("opf oracle error: %v", err)
 		}
 		sol, err := opf.Solve(g, t, nil)
-		switch {
-		case errors.Is(err, opf.ErrInfeasible):
-			if want.feasible && robustVerdict(g, t, -1) {
-				oc, _ := want.cost.Float64()
-				return fmt.Sprintf("opf.Solve says infeasible, oracle found optimum %.6f (topology %v)", oc, t.Lines())
-			}
-		case err != nil:
-			return fmt.Sprintf("opf.Solve error: %v", err)
-		default:
-			if !want.feasible {
-				if robustVerdict(g, t, 1) {
-					return fmt.Sprintf("opf.Solve found cost %.6f, oracle says infeasible (topology %v)", sol.Cost, t.Lines())
-				}
-				continue
-			}
+		if msg := judgeOPF(g, t, nil, want, "opf.Solve", sol, err); msg != "" {
+			return msg
+		}
+		if err != nil || !want.feasible {
+			continue
+		}
+		oc, _ := want.cost.Float64()
+		if msg := checkExactOPF(g, t, oc); msg != "" {
+			return msg
+		}
+	}
+	if len(topos) == 1 {
+		return ""
+	}
+	ws := opf.NewWarmSolver(g)
+	shifted := g.LoadVector()
+	if base, err := ws.Baseline(); err == nil {
+		shifted[removed.From-1] += base.Flows[removed.ID-1]
+		shifted[removed.To-1] -= base.Flows[removed.ID-1]
+	}
+	for _, loads := range [][]float64{nil, shifted} {
+		want, err := opfOracle(g, topos[1], loads)
+		if err != nil {
+			return fmt.Sprintf("opf oracle error: %v", err)
+		}
+		sol, err := ws.SolveTopology(topos[1], loads)
+		if msg := judgeOPF(g, topos[1], loads, want, "WarmSolver.SolveTopology", sol, err); msg != "" {
+			return msg
+		}
+	}
+	return ""
+}
+
+// judgeOPF compares one float OPF result (sol, err) on (g, t, loads) with
+// the oracle's verdict want, charging a feasibility disagreement only when
+// robustVerdict finds it outside the boundary band, and a cost beyond 1e-6
+// relative.
+func judgeOPF(g *grid.Grid, t grid.Topology, loads []float64, want *opfOracleResult, who string, sol *opf.Solution, err error) string {
+	switch {
+	case errors.Is(err, opf.ErrInfeasible):
+		if want.feasible && robustVerdict(g, t, loads, -1) {
 			oc, _ := want.cost.Float64()
-			if relDiff(sol.Cost, oc) > 1e-6 {
-				return fmt.Sprintf("opf cost mismatch: solver %.9f vs oracle %.9f (topology %v)", sol.Cost, oc, t.Lines())
-			}
-			if msg := checkExactOPF(g, t, oc); msg != "" {
-				return msg
-			}
+			return fmt.Sprintf("%s says infeasible, oracle found optimum %.6f (topology %v)", who, oc, t.Lines())
+		}
+	case err != nil:
+		return fmt.Sprintf("%s error: %v", who, err)
+	case !want.feasible:
+		if robustVerdict(g, t, loads, 1) {
+			return fmt.Sprintf("%s found cost %.6f, oracle says infeasible (topology %v)", who, sol.Cost, t.Lines())
+		}
+	default:
+		if oc, _ := want.cost.Float64(); relDiff(sol.Cost, oc) > 1e-6 {
+			return fmt.Sprintf("opf cost mismatch: %s %.9f vs oracle %.9f (topology %v)", who, sol.Cost, oc, t.Lines())
 		}
 	}
 	return ""
@@ -382,15 +418,15 @@ func checkExactOPF(g *grid.Grid, t grid.Topology, oc float64) string {
 // produce as a genuine margin.
 var opfBoundaryBand = big.NewRat(1, 10_000_000) // 1e-7
 
-// robustVerdict reports whether the oracle's feasibility verdict on (g, t)
-// survives shifting every inequality bound by dir*opfBoundaryBand relative
-// (dir=+1 relaxes — checks an infeasible verdict; dir=-1 tightens — checks a
-// feasible one). A verdict that flips inside the band is boundary-degenerate:
-// the float64 LP cannot (and should not) resolve it, so no discrepancy is
-// charged.
-func robustVerdict(g *grid.Grid, t grid.Topology, dir int64) bool {
+// robustVerdict reports whether the oracle's feasibility verdict on (g, t,
+// loads) survives shifting every inequality bound by dir*opfBoundaryBand
+// relative (dir=+1 relaxes — checks an infeasible verdict; dir=-1 tightens —
+// checks a feasible one). A verdict that flips inside the band is
+// boundary-degenerate: the float64 LP cannot (and should not) resolve it,
+// so no discrepancy is charged.
+func robustVerdict(g *grid.Grid, t grid.Topology, loads []float64, dir int64) bool {
 	relax := new(big.Rat).Mul(opfBoundaryBand, big.NewRat(dir, 1))
-	shifted, err := opfOracleRelaxed(g, t, nil, relax)
+	shifted, err := opfOracleRelaxed(g, t, loads, relax)
 	if err != nil {
 		return true // can't probe the band; let the discrepancy stand
 	}

@@ -48,7 +48,7 @@ func TestOPFBoundaryDegenerateNotCharged(t *testing.T) {
 	if res.feasible {
 		t.Fatal("exact oracle should call the one-ULP-over system infeasible")
 	}
-	if robustVerdict(sys.Grid, topo, 1) {
+	if robustVerdict(sys.Grid, topo, nil, 1) {
 		t.Fatal("infeasible verdict should not be robust under +band relaxation")
 	}
 	if d := checkOPF(sys); d != "" {
@@ -70,7 +70,7 @@ func TestOPFRobustInfeasibleStillCharged(t *testing.T) {
 	if res.feasible {
 		t.Fatal("oracle should call 2x-overload infeasible")
 	}
-	if !robustVerdict(sys.Grid, topo, 1) {
+	if !robustVerdict(sys.Grid, topo, nil, 1) {
 		t.Fatal("genuine infeasibility must survive the +band relaxation")
 	}
 }

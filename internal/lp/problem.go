@@ -39,7 +39,9 @@
 //     column; the solution comes from the basic and nonbasic values, the
 //     basis and the column statuses; and a basis certificate is Basis and
 //     AtUpper. Phase 1 must keep them current, because artificials re-enter
-//     the basis there.
+//     the basis there. SolveBaseline's phase 2 keeps them current too, so
+//     they hold B^-1 (of the rows as the setup negated them); by the same
+//     argument, every other bit of its result is Solve's.
 //
 // Bit-identity contract: every status, pivot count, objective, nonzero
 // solution value and final basis is the IEEE-754 result of the full dense
@@ -50,6 +52,16 @@
 // included, and the final basis, on a fixed corpus of OPF solves and seeded
 // random LPs that reach bound flips in both phases, free columns entering,
 // artificials leaving in phase 2, and infeasible and unbounded outcomes.
+//
+// Re-optimization: Baseline.Reoptimize solves a solved problem with columns
+// fixed at 0, rows dropped (their artificials freed) and new right-hand
+// sides (applied through B^-1), from a copy of SolveBaseline's tableau: a
+// bounded primal phase 1, which shares Solve's entering rule, ratio test
+// and pivot, then Solve's phase 2. Each call starts from the baseline, so
+// its bits depend only on its arguments, though not equal to a cold solve's
+// in the last places. The golden test's /reopt entries pin them, and this
+// package's tests pin that neither the order of the changes nor the
+// scratch's history moves a bit.
 package lp
 
 import (

@@ -1,8 +1,10 @@
 package lp
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 const (
@@ -52,32 +54,8 @@ type nonzero struct {
 	v float64
 }
 
-// Solve runs two-phase simplex from scratch and returns the solution.
-func (p *Problem) Solve() (*Solution, error) {
-	for i, c := range p.cons {
-		for _, t := range c.terms {
-			if t.Var < 0 || t.Var >= len(p.lower) {
-				return nil, fmt.Errorf("lp: constraint %d references unknown variable %d", i, t.Var)
-			}
-		}
-	}
-	for j := range p.lower {
-		if p.lower[j] > p.upper[j] {
-			return &Solution{Status: Infeasible}, nil
-		}
-	}
-
-	nStruct := len(p.lower)
-	m := len(p.cons)
-	// Columns: structural, one slack per inequality row, one artificial per row.
-	nSlack := 0
-	for _, c := range p.cons {
-		if c.sense != EQ {
-			nSlack++
-		}
-	}
-	n := nStruct + nSlack + m
-
+// newTableau allocates an m-row tableau over n columns.
+func newTableau(m, n int) *tableau {
 	t := &tableau{
 		m:      m,
 		n:      n,
@@ -95,9 +73,54 @@ func (p *Problem) Solve() (*Solution, error) {
 	for i := range t.a {
 		t.a[i] = make([]float64, n)
 	}
+	return t
+}
+
+// Solve runs two-phase simplex from scratch and returns the solution.
+func (p *Problem) Solve() (*Solution, error) {
+	sol, _, err := p.solve(false)
+	return sol, err
+}
+
+// SolveBaseline is Solve that keeps the final tableau, with B^-1 current,
+// for Reoptimize. Its Solution equals Solve's bit for bit (see the package
+// comment); the Baseline is nil unless that Solution is Optimal. p must not
+// change afterwards.
+func (p *Problem) SolveBaseline() (*Solution, *Baseline, error) {
+	return p.solve(true)
+}
+
+// solve is Solve; keep makes phase 2 keep the artificial columns current and
+// returns the final tableau as a Baseline.
+func (p *Problem) solve(keep bool) (*Solution, *Baseline, error) {
+	for i, c := range p.cons {
+		for _, t := range c.terms {
+			if t.Var < 0 || t.Var >= len(p.lower) {
+				return nil, nil, fmt.Errorf("lp: constraint %d references unknown variable %d", i, t.Var)
+			}
+		}
+	}
+	for j := range p.lower {
+		if p.lower[j] > p.upper[j] {
+			return &Solution{Status: Infeasible}, nil, nil
+		}
+	}
+
+	nStruct := len(p.lower)
+	m := len(p.cons)
+	// Columns: structural, one slack per inequality row, one artificial per row.
+	nSlack := 0
+	for _, c := range p.cons {
+		if c.sense != EQ {
+			nSlack++
+		}
+	}
+	n := nStruct + nSlack + m
+
+	t := newTableau(m, n)
 	copy(t.lower, p.lower)
 	copy(t.upper, p.upper)
-
+	neg := make([]bool, m) // rows negated below, which a Baseline needs
 	// Initial nonbasic placement for structural variables: the finite bound
 	// nearest zero, or 0 for free variables.
 	for j := 0; j < nStruct; j++ {
@@ -152,7 +175,7 @@ func (p *Problem) Solve() (*Solution, error) {
 			for j := 0; j < artIdx; j++ {
 				t.a[i][j] = -t.a[i][j]
 			}
-			resid = -resid
+			resid, neg[i] = -resid, true
 		}
 		art := artIdx + i
 		t.a[i][art] = 1
@@ -169,16 +192,17 @@ func (p *Problem) Solve() (*Solution, error) {
 	}
 	st, err := t.iterate(cost)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if st == Unbounded {
-		return nil, fmt.Errorf("lp: phase 1 unbounded (internal error)")
+		return nil, nil, errPhase1
 	}
 	if t.objective(cost) > feasTol {
-		return &Solution{Status: Infeasible}, nil
+		return &Solution{Status: Infeasible}, nil, nil
 	}
-	// Pin artificials to zero so phase 2 cannot reuse them. Nothing reads
-	// their columns from here on, so phase 2 stops updating them.
+	// Pin artificials to zero so phase 2 cannot reuse them. Nothing in
+	// phase 2 reads their columns, so it stops updating them unless keep:
+	// then they stay B^-1 for Reoptimize.
 	for i := 0; i < m; i++ {
 		art := artIdx + i
 		t.upper[art] = 0
@@ -187,20 +211,152 @@ func (p *Problem) Solve() (*Solution, error) {
 			t.nonbas[art] = 0
 		}
 	}
-	t.live = artIdx
+	if !keep {
+		t.live = artIdx
+	}
 
-	// Phase 2: minimize the real objective.
+	sol, err := t.phase2(p, cost)
+	if err != nil || sol.Status != Optimal || !keep {
+		return sol, nil, err
+	}
+	return sol, &Baseline{p: p, t: t, neg: neg, art: artIdx}, nil
+}
+
+// phase2 minimizes p's objective from the tableau's feasible basis.
+func (t *tableau) phase2(p *Problem, cost []float64) (*Solution, error) {
 	clear(cost)
 	copy(cost, p.cost)
-	st, err = t.iterate(cost)
+	st, err := t.iterate(cost)
 	if err != nil {
 		return nil, err
 	}
 	if st == Unbounded {
 		return &Solution{Status: Unbounded}, nil
 	}
-
 	return t.extract(p), nil
+}
+
+var errPhase1 = errors.New("lp: phase 1 unbounded (internal error)")
+
+// Baseline is an Optimal solve's final tableau with B^-1 kept current, from
+// which Reoptimize solves modifications of the same problem. It is not safe
+// for concurrent use.
+type Baseline struct {
+	p    *Problem
+	t    *tableau  // never modified after the solve
+	neg  []bool    // rows the setup negated
+	art  int       // row i's artificial is column art+i
+	work *tableau  // Reoptimize's scratch, allocated on its first call
+	cost []float64 // and its cost vector
+	fix  []int     // and its sorted fixed columns
+}
+
+// Reoptimize solves the baseline's problem with the structural columns in
+// fix fixed at 0, the rows in drop removed, and the right-hand sides rhs
+// (one per row; nil keeps the problem's). It copies the baseline tableau
+// into its scratch, never starting from an earlier call's, so the result
+// depends only on the arguments. There it fixes the columns, frees the
+// dropped rows' artificials, moves the basic values to the new right-hand
+// sides through B^-1, restores feasibility with a bounded primal phase 1
+// and re-optimizes with phase 2. The Solution's Pivots counts this call's
+// pivots; its Basis may hold a dropped row's artificial.
+func (b *Baseline) Reoptimize(fix, drop []int, rhs []float64) (*Solution, error) {
+	p, t := b.p, b.scratch()
+	// Ascending column order keeps the sums below independent of fix's.
+	b.fix = append(b.fix[:0], fix...)
+	slices.Sort(b.fix)
+	for _, j := range b.fix {
+		if t.status[j] != statusBasic {
+			if v := t.nonbas[j]; v != 0 { // x_B -= B^-1 a_j * (0 - v)
+				for i, row := range t.a {
+					t.xB[i] += row[j] * v
+				}
+			}
+			t.status[j], t.nonbas[j] = statusAtLower, 0
+		}
+		t.lower[j], t.upper[j] = 0, 0
+	}
+	for _, r := range drop {
+		art := b.art + r
+		t.lower[art], t.upper[art] = math.Inf(-1), math.Inf(1)
+		if t.status[art] != statusBasic {
+			t.status[art] = statusFree
+		}
+	}
+	for r, v := range rhs {
+		if delta := v - p.cons[r].rhs; delta != 0 {
+			if b.neg[r] {
+				delta = -delta
+			}
+			for i, row := range t.a {
+				t.xB[i] += row[b.art+r] * delta
+			}
+		}
+	}
+	if feasible, err := t.restore(b.cost); err != nil || !feasible {
+		return &Solution{Status: Infeasible}, err
+	}
+	sol, err := t.phase2(p, b.cost)
+	if err == nil && sol.Status == Optimal { // the scratch is reused
+		sol.Basis, sol.status = slices.Clone(sol.Basis), slices.Clone(sol.status)
+	}
+	return sol, err
+}
+
+// scratch copies the baseline tableau into the work tableau, allocating it
+// on the first call.
+func (b *Baseline) scratch() *tableau {
+	s, w := b.t, b.work
+	if w == nil {
+		w = newTableau(s.m, s.n)
+		b.work, b.cost = w, make([]float64, s.n)
+	}
+	for i, row := range s.a {
+		copy(w.a[i], row)
+	}
+	copy(w.xB, s.xB)
+	copy(w.basis, s.basis)
+	copy(w.status, s.status)
+	copy(w.lower, s.lower)
+	copy(w.upper, s.upper)
+	copy(w.nonbas, s.nonbas)
+	w.live, w.pivots = s.live, 0
+	return w
+}
+
+// restore is Reoptimize's bounded primal phase 1. From a basis whose basic
+// values may violate their bounds, it minimizes the sum of the violations:
+// a basic below its lower bound costs -1, one above its upper bound +1, and
+// every other column 0. Those costs change as basics become feasible, so
+// every iteration re-prices in full; in the ratio test an infeasible basic
+// may run up to the bound it violates. It reports whether every bound holds
+// within feasTol when no column improves the sum.
+func (t *tableau) restore(cost []float64) (bool, error) {
+	for iter := 0; ; iter++ {
+		clear(cost)
+		feasible := true
+		for i, b := range t.basis {
+			switch x := t.xB[i]; {
+			case x < t.lower[b]-feasTol:
+				cost[b], feasible = -1, false
+			case x > t.upper[b]+feasTol:
+				cost[b], feasible = 1, false
+			}
+		}
+		if feasible {
+			return true, nil
+		}
+		t.priceAll(cost)
+		enter, dir, err := t.entering(iter)
+		if err != nil || enter < 0 {
+			return false, err
+		}
+		limit, row, toUpper := t.ratio(enter, dir, true)
+		if math.IsInf(limit, 1) {
+			return false, errPhase1
+		}
+		t.step(enter, dir, limit, row, toUpper)
+	}
 }
 
 // extract builds an Optimal solution from the tableau's current point.
@@ -258,145 +414,172 @@ func (t *tableau) price(cost []float64, cols []nonzero) {
 	}
 }
 
-// iterate runs simplex iterations for the given cost vector until optimality
-// or unboundedness. The first pricing covers every live column; after that
-// a pivot re-prices only the columns where its scaled row is nonzero, and a
-// bound flip re-prices nothing (see the package comment).
-func (t *tableau) iterate(cost []float64) (Status, error) {
+// priceAll prices every live column.
+func (t *tableau) priceAll(cost []float64) {
 	all := t.nz[:t.live]
 	for j := range all {
 		all[j] = nonzero{j: j}
 	}
 	t.price(cost, all)
-	maxIter := maxIterMult * (t.m + t.n)
-	for iter := 0; ; iter++ {
-		if iter > maxIter {
-			return 0, fmt.Errorf("lp: iteration limit exceeded (%d iterations, %d rows, %d cols)", iter, t.m, t.n)
-		}
-		bland := iter > blandAfter
+}
 
-		// Entering variable selection among the columns that can enter
-		// (nonbasic and not fixed, free ones included), in ascending order.
-		enter, dir := -1, 0.0
-		bestScore := costTol
-		for j, dj := range t.d[:t.live] {
-			if !(t.lower[j] < t.upper[j]) {
-				continue
-			}
-			var improving bool
-			var step float64
-			switch t.status[j] {
-			case statusBasic:
-				continue
-			case statusAtLower:
-				improving = dj < -costTol
-				step = 1
-			case statusAtUpper:
-				improving = dj > costTol
-				step = -1
-			default: // statusFree
-				improving = math.Abs(dj) > costTol
-				if dj > 0 {
-					step = -1
-				} else {
-					step = 1
-				}
-			}
-			if !improving {
-				continue
-			}
-			if bland {
-				enter, dir = j, step
-				break
-			}
-			if score := math.Abs(dj); score > bestScore {
-				bestScore = score
-				enter, dir = j, step
-			}
+// iterate runs simplex iterations for the given cost vector until optimality
+// or unboundedness. The first pricing covers every live column; after that
+// a pivot re-prices only the columns where its scaled row is nonzero, and a
+// bound flip re-prices nothing (see the package comment).
+func (t *tableau) iterate(cost []float64) (Status, error) {
+	t.priceAll(cost)
+	for iter := 0; ; iter++ {
+		enter, dir, err := t.entering(iter)
+		if err != nil {
+			return 0, err
 		}
 		if enter < 0 {
 			return Optimal, nil
 		}
-
-		// Ratio test: how far can x_enter move in direction dir?
-		limit := math.Inf(1)
-		leaveRow := -1
-		leaveToUpper := false
-		// Bound flip limit for the entering variable itself.
-		if !math.IsInf(t.lower[enter], -1) && !math.IsInf(t.upper[enter], 1) {
-			limit = t.upper[enter] - t.lower[enter]
-		}
-		for i := 0; i < t.m; i++ {
-			alpha := t.a[i][enter]
-			if math.Abs(alpha) <= pivotTol {
-				continue
-			}
-			b := t.basis[i]
-			// x_B(i) changes at rate -dir*alpha per unit of movement.
-			rate := -dir * alpha
-			var ti float64
-			var toUpper bool
-			if rate < 0 { // decreasing toward its lower bound
-				if math.IsInf(t.lower[b], -1) {
-					continue
-				}
-				ti = (t.xB[i] - t.lower[b]) / -rate
-				toUpper = false
-			} else { // increasing toward its upper bound
-				if math.IsInf(t.upper[b], 1) {
-					continue
-				}
-				ti = (t.upper[b] - t.xB[i]) / rate
-				toUpper = true
-			}
-			if ti < 0 {
-				ti = 0
-			}
-			if ti < limit {
-				limit = ti
-				leaveRow = i
-				leaveToUpper = toUpper
-			}
-		}
+		limit, row, toUpper := t.ratio(enter, dir, false)
 		if math.IsInf(limit, 1) {
 			return Unbounded, nil
 		}
-
-		// Apply the move to the basic values.
-		for i := 0; i < t.m; i++ {
-			t.xB[i] -= dir * t.a[i][enter] * limit
+		if t.step(enter, dir, limit, row, toUpper) {
+			t.price(cost, t.nz)
 		}
-		enterVal := t.nonbas[enter] + dir*limit
+	}
+}
 
-		if leaveRow < 0 {
-			// Pure bound flip: the entering variable moved to its other bound.
-			t.nonbas[enter] = enterVal
-			if dir > 0 {
-				t.status[enter] = statusAtUpper
-			} else {
-				t.status[enter] = statusAtLower
-			}
+// entering picks the column to enter at iteration iter of a phase, and the
+// direction it moves in, from the reduced costs d: Dantzig's rule, or
+// Bland's after blandAfter iterations, among the columns that can enter
+// (nonbasic and not fixed, free ones included), in ascending order. enter is
+// -1 when no column improves; past the iteration cap it fails.
+func (t *tableau) entering(iter int) (enter int, dir float64, err error) {
+	if maxIter := maxIterMult * (t.m + t.n); iter > maxIter {
+		return -1, 0, fmt.Errorf("lp: iteration limit exceeded (%d iterations, %d rows, %d cols)", iter, t.m, t.n)
+	}
+	bland := iter > blandAfter
+	enter = -1
+	bestScore := costTol
+	for j, dj := range t.d[:t.live] {
+		if !(t.lower[j] < t.upper[j]) {
 			continue
 		}
-
-		// Basis change: pivot on (leaveRow, enter).
-		leaving := t.basis[leaveRow]
-		if leaveToUpper {
-			t.status[leaving] = statusAtUpper
-			t.nonbas[leaving] = t.upper[leaving]
-			t.xB[leaveRow] = t.upper[leaving]
-		} else {
-			t.status[leaving] = statusAtLower
-			t.nonbas[leaving] = t.lower[leaving]
-			t.xB[leaveRow] = t.lower[leaving]
+		var improving bool
+		var step float64
+		switch t.status[j] {
+		case statusBasic:
+			continue
+		case statusAtLower:
+			improving = dj < -costTol
+			step = 1
+		case statusAtUpper:
+			improving = dj > costTol
+			step = -1
+		default: // statusFree
+			improving = math.Abs(dj) > costTol
+			if dj > 0 {
+				step = -1
+			} else {
+				step = 1
+			}
 		}
-		t.pivot(leaveRow, enter)
-		t.pivots++
-		t.basis[leaveRow] = enter
-		t.status[enter] = statusBasic
-		t.xB[leaveRow] = enterVal
-		t.price(cost, t.nz)
+		if !improving {
+			continue
+		}
+		if bland {
+			return j, step, nil
+		}
+		if score := math.Abs(dj); score > bestScore {
+			bestScore = score
+			enter, dir = j, step
+		}
 	}
+	return enter, dir, nil
+}
+
+// ratio is the ratio test for x_enter moving in direction dir. It returns
+// how far x_enter can move, the row whose basic leaves (-1 when x_enter
+// reaches its other bound first) and whether that basic leaves at its upper
+// bound. In restore's bounded phase 1, an infeasible basic may run up to
+// the bound it violates, and nothing limits it the other way.
+func (t *tableau) ratio(enter int, dir float64, bounded bool) (limit float64, leaveRow int, toUpper bool) {
+	limit, leaveRow = math.Inf(1), -1
+	// Bound flip limit for the entering variable itself.
+	if !math.IsInf(t.lower[enter], -1) && !math.IsInf(t.upper[enter], 1) {
+		limit = t.upper[enter] - t.lower[enter]
+	}
+	for i := 0; i < t.m; i++ {
+		alpha := t.a[i][enter]
+		if math.Abs(alpha) <= pivotTol {
+			continue
+		}
+		b := t.basis[i]
+		x, lo, hi := t.xB[i], t.lower[b], t.upper[b]
+		// x_B(i) changes at rate -dir*alpha per unit of movement.
+		rate := -dir * alpha
+		var ti float64
+		var up bool
+		switch {
+		case bounded && x < lo-feasTol:
+			if rate < 0 {
+				continue
+			}
+			ti = (lo - x) / rate
+		case bounded && x > hi+feasTol:
+			if rate > 0 {
+				continue
+			}
+			ti, up = (x-hi)/-rate, true
+		case rate < 0: // decreasing toward its lower bound
+			if math.IsInf(lo, -1) {
+				continue
+			}
+			ti = (x - lo) / -rate
+		default: // increasing toward its upper bound
+			if math.IsInf(hi, 1) {
+				continue
+			}
+			ti, up = (hi-x)/rate, true
+		}
+		if ti < 0 {
+			ti = 0
+		}
+		if ti < limit {
+			limit, leaveRow, toUpper = ti, i, up
+		}
+	}
+	return limit, leaveRow, toUpper
+}
+
+// step moves x_enter by dir*limit. With leaveRow < 0 that is a bound flip;
+// otherwise x_enter replaces row leaveRow's basic, which leaves at its upper
+// bound when toUpper, else at its lower one. It reports whether it pivoted.
+func (t *tableau) step(enter int, dir, limit float64, leaveRow int, toUpper bool) bool {
+	for i := 0; i < t.m; i++ {
+		t.xB[i] -= dir * t.a[i][enter] * limit
+	}
+	enterVal := t.nonbas[enter] + dir*limit
+	if leaveRow < 0 {
+		// Pure bound flip: the entering variable moved to its other bound.
+		t.nonbas[enter] = enterVal
+		if dir > 0 {
+			t.status[enter] = statusAtUpper
+		} else {
+			t.status[enter] = statusAtLower
+		}
+		return false
+	}
+	leaving := t.basis[leaveRow]
+	if toUpper {
+		t.status[leaving], t.nonbas[leaving] = statusAtUpper, t.upper[leaving]
+	} else {
+		t.status[leaving], t.nonbas[leaving] = statusAtLower, t.lower[leaving]
+	}
+	t.pivot(leaveRow, enter)
+	t.pivots++
+	t.basis[leaveRow] = enter
+	t.status[enter] = statusBasic
+	t.xB[leaveRow] = enterVal
+	return true
 }
 
 // pivot performs Gauss-Jordan elimination over the live columns so column

@@ -156,10 +156,30 @@ func goldenLoads(g *grid.Grid, rng *rand.Rand, count int) [][]float64 {
 	return out
 }
 
+// solveDirect solves p with Solve and requires SolveBaseline, which keeps
+// B^-1 through phase 2, to give the same status, pivots, objective, X and
+// basis bits.
+func solveDirect(t *testing.T, name string, p *lp.Problem) (*lp.Solution, error) {
+	t.Helper()
+	sol, err := p.Solve()
+	kept, _, keptErr := p.SolveBaseline()
+	var a, b goldenDigest
+	a.lp(sol, err)
+	a.basis(numColumns(p), sol, err)
+	b.lp(kept, keptErr)
+	b.basis(numColumns(p), kept, keptErr)
+	if a.sum() != b.sum() {
+		t.Errorf("%s: SolveBaseline differs from Solve", name)
+	}
+	return sol, err
+}
+
 // goldenAngleEntries solves every (topology, loads) pair of one system
 // through opf.Solve. Each /solve entry digests the LP solution of the
 // identical problem next to the OPF result, since opf.Solve hides the raw LP
-// fields; each /basis entry digests that LP's final basis.
+// fields; each /basis entry digests that LP's final basis. Each /reopt entry
+// of a reduced topology digests its re-optimization from the system's
+// true-topology WarmSolver: the OPF result and the pivots it took.
 func goldenAngleEntries(t *testing.T, name string, seed int64, topoCount, loadCount int) []goldenEntry {
 	t.Helper()
 	c, err := cases.ByName(name)
@@ -169,6 +189,7 @@ func goldenAngleEntries(t *testing.T, name string, seed int64, topoCount, loadCo
 	g := c.Grid
 	rng := rand.New(rand.NewSource(seed))
 	topos, topoNames := goldenTopologies(g, rng, topoCount)
+	ws := NewWarmSolver(g)
 	var out []goldenEntry
 	for ti, topo := range topos {
 		for li, loads := range goldenLoads(g, rng, loadCount) {
@@ -179,13 +200,21 @@ func goldenAngleEntries(t *testing.T, name string, seed int64, topoCount, loadCo
 			if err != nil {
 				t.Fatalf("%s: %v", prefix, err)
 			}
-			sol, err := p.Solve()
+			sol, err := solveDirect(t, prefix, p)
 			cold.lp(sol, err)
 			cold.opf(Solve(g, topo, loads))
 			out = append(out, goldenEntry{prefix + "/solve", cold.sum()})
 			var basis goldenDigest
 			basis.basis(numColumns(p), sol, err)
 			out = append(out, goldenEntry{prefix + "/basis", basis.sum()})
+			if ti == 0 {
+				continue
+			}
+			var reopt goldenDigest
+			pivots := ws.Stats().Pivots
+			reopt.opf(ws.SolveTopology(topo, loads))
+			reopt.int(ws.Stats().Pivots - pivots)
+			out = append(out, goldenEntry{prefix + "/reopt", reopt.sum()})
 		}
 	}
 	return out
@@ -235,7 +264,7 @@ func goldenCorpus(t *testing.T) []goldenEntry {
 
 	var km, kmBasis goldenDigest
 	p := kleeMinty(12)
-	sol, err := p.Solve()
+	sol, err := solveDirect(t, "kleeminty12", p)
 	km.lp(sol, err)
 	kmBasis.basis(numColumns(p), sol, err)
 	out = append(out, goldenEntry{"kleeminty12", km.sum()}, goldenEntry{"kleeminty12/basis", kmBasis.sum()})
@@ -243,7 +272,7 @@ func goldenCorpus(t *testing.T) []goldenEntry {
 	for k := 0; k < randomLPs; k++ {
 		var d goldenDigest
 		p := randomLP(rand.New(rand.NewSource(int64(k + 1))))
-		sol, err := p.Solve()
+		sol, err := solveDirect(t, fmt.Sprintf("random/%02d", k), p)
 		d.lp(sol, err)
 		d.basis(numColumns(p), sol, err)
 		out = append(out, goldenEntry{fmt.Sprintf("random/%02d", k), d.sum()})
@@ -344,10 +373,11 @@ func readGolden(t *testing.T) map[string]string {
 }
 
 // TestLPGoldenDigests: every LP result of the corpus — angle-formulation
-// OPF on five systems, shift-factor OPF under single-line outages, a
+// OPF on five systems, solved cold and re-optimized from the true
+// topology's baseline, shift-factor OPF under single-line outages, a
 // Klee-Minty cube that forces Bland's rule, and seeded random LPs — matches
 // the recorded IEEE-754 bits exactly, and so does the final basis of every
-// LP solved directly.
+// LP solved directly, whether or not the solve keeps B^-1.
 func TestLPGoldenDigests(t *testing.T) {
 	// Go fuses a*b+c into one rounding on arm64, ppc64, riscv64, s390x and
 	// loong64 but never on amd64, where the digests were recorded.

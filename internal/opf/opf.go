@@ -1,8 +1,9 @@
 // Package opf solves the DC Optimal Power Flow problem (paper Sec. II-D,
 // Eqs. 3-6) three ways:
 //
-//   - Solve: an exact minimum-cost dispatch via the LP simplex, used to
-//     compute the attack-free optimal cost and to evaluate attacked systems;
+//   - Solve: an exact minimum-cost dispatch via the LP simplex; WarmSolver
+//     solves the attack-free baseline that way once and re-optimizes each
+//     attacked topology from it;
 //   - Encode/FeasibleWithin: the paper's "OPF model" — a feasibility query
 //     "is there a dispatch with cost <= T?" encoded for the SMT solver
 //     (Eqs. 30-35), which the impact-analysis framework negates to certify
@@ -41,6 +42,8 @@ type angleVars struct {
 	thetaVar  []int
 	genVar    []int
 	flowVar   []int
+	flowRow   []int // by line ID, its defining row; -1 for an unmapped line
+	nodalRow  int   // bus k's nodal balance is row nodalRow+k
 	fixedCost float64
 }
 
@@ -70,13 +73,14 @@ func buildAngleLP(g *grid.Grid, t grid.Topology, loads []float64) (*lp.Problem, 
 	// Flow variables for mapped lines, with capacity bounds and the defining
 	// constraint F_i - d_i*theta_f + d_i*theta_e = 0.
 	flowVar := make([]int, g.NumLines()+1)
+	flowRow := make([]int, g.NumLines()+1)
 	for _, ln := range g.Lines {
-		flowVar[ln.ID] = -1
+		flowVar[ln.ID], flowRow[ln.ID] = -1, -1
 		if !t.Contains(ln.ID) {
 			continue
 		}
 		fv := p.AddVariable(-ln.Capacity, ln.Capacity, 0, fmt.Sprintf("f%d", ln.ID))
-		flowVar[ln.ID] = fv
+		flowVar[ln.ID], flowRow[ln.ID] = fv, p.NumConstraints()
 		terms := []lp.Term{{Var: fv, Coeff: 1}}
 		if v := thetaVar[ln.From]; v >= 0 {
 			terms = append(terms, lp.Term{Var: v, Coeff: -ln.Admittance})
@@ -87,6 +91,7 @@ func buildAngleLP(g *grid.Grid, t grid.Topology, loads []float64) (*lp.Problem, 
 		p.AddConstraint(terms, lp.EQ, 0)
 	}
 	// Nodal balance: sum(outgoing) - sum(incoming) - sum(gen at bus) = -load.
+	nodalRow := p.NumConstraints()
 	for _, bus := range g.Buses {
 		var terms []lp.Term
 		for _, ln := range g.Lines {
@@ -111,7 +116,7 @@ func buildAngleLP(g *grid.Grid, t grid.Topology, loads []float64) (*lp.Problem, 
 		}
 		p.AddConstraint(terms, lp.EQ, -loads[bus.ID-1])
 	}
-	return p, &angleVars{thetaVar: thetaVar, genVar: genVar, flowVar: flowVar, fixedCost: fixedCost}, nil
+	return p, &angleVars{thetaVar: thetaVar, genVar: genVar, flowVar: flowVar, flowRow: flowRow, nodalRow: nodalRow, fixedCost: fixedCost}, nil
 }
 
 // extractAngleSolution maps an optimal LP point back to the grid model.
@@ -156,18 +161,31 @@ func checkSolveInputs(g *grid.Grid, loads []float64) ([]float64, error) {
 // topology t serving the given per-bus loads (nil means the grid's existing
 // loads). Only lines in t carry flow or capacity constraints.
 func Solve(g *grid.Grid, t grid.Topology, loads []float64) (*Solution, error) {
-	loads, err := checkSolveInputs(g, loads)
-	if err != nil {
-		return nil, err
-	}
-	if !g.Connected(t) {
-		return nil, fmt.Errorf("opf: topology disconnects the network: %w", ErrInfeasible)
-	}
-	p, av, err := buildAngleLP(g, t, loads)
+	p, av, err := gatedAngleLP(g, t, loads)
 	if err != nil {
 		return nil, err
 	}
 	sol, err := p.Solve()
+	return angleResult(g, sol, av, err)
+}
+
+var errDisconnected = fmt.Errorf("opf: topology disconnects the network: %w", ErrInfeasible)
+
+// gatedAngleLP applies Solve's input checks and connectivity gate, then
+// builds the angle LP.
+func gatedAngleLP(g *grid.Grid, t grid.Topology, loads []float64) (*lp.Problem, *angleVars, error) {
+	loads, err := checkSolveInputs(g, loads)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !g.Connected(t) {
+		return nil, nil, errDisconnected
+	}
+	return buildAngleLP(g, t, loads)
+}
+
+// angleResult maps the angle LP's outcome to Solve's result.
+func angleResult(g *grid.Grid, sol *lp.Solution, av *angleVars, err error) (*Solution, error) {
 	if err != nil {
 		return nil, fmt.Errorf("opf: %w", err)
 	}
