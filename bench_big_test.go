@@ -132,7 +132,7 @@ func BenchmarkSparseSubstrate1354(b *testing.B) {
 	})
 	b.Run("ptdf-all-lines", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fac, err := dist.NewWith(g, t, dist.Sparse)
+			fac, err := dist.New(g, t)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -30,10 +30,10 @@ func TestRunAllLayersClean(t *testing.T) {
 	}
 }
 
-// TestSparseLaneSweep: the sparse-vs-dense differential lane must agree on
-// 200 seeded systems with zero discrepancies (the PR's acceptance bar for
-// the sparse substrate). The lane is cheap — no exact-rational oracles —
-// so the full sweep runs even under -short.
+// TestSparseLaneSweep: the sparse lane (B assembly and the dense and sparse
+// factorizations grid.FactorizeB chooses between) must agree on 200 seeded
+// systems with zero discrepancies. The lane is cheap — no exact-rational
+// oracles — so the full sweep runs even under -short.
 func TestSparseLaneSweep(t *testing.T) {
 	sum, err := Run(Config{N: 200, Seed: 7, Layers: []string{LayerSparse}})
 	if err != nil {

@@ -7,9 +7,9 @@
 // rebuilding the network model.
 //
 // The implementation never forms B⁻¹. The reduced susceptance matrix is
-// factorized once (dense or sparse LU depending on system size) and every
-// factor is derived from per-line transfer vectors w_l = B⁻¹(e_from − e_to),
-// computed lazily and cached: by symmetry of B,
+// factorized once by grid.FactorizeB (dense or sparse LU depending on
+// system size) and every factor is derived from per-line transfer vectors
+// w_l = B⁻¹(e_from − e_to), computed lazily and cached: by symmetry of B,
 //
 //	PTDF(l, j) = d_l · w_l[j]
 //
@@ -25,30 +25,12 @@ import (
 
 	"gridattack/internal/grid"
 	"gridattack/internal/linalg"
-	"gridattack/internal/linalg/sparse"
 )
 
 // ErrRadial indicates a factor is undefined because the operation would
 // disconnect the network (outage of a radial line) or the line pair is
 // degenerate.
 var ErrRadial = errors.New("dist: factor undefined (network would split)")
-
-// Backend selects the linear-algebra path used to factorize B.
-type Backend int
-
-const (
-	// Auto picks Sparse for systems with at least sparseThreshold non-slack
-	// buses and Dense below that.
-	Auto Backend = iota
-	// Dense uses the dense LU from internal/linalg.
-	Dense
-	// Sparse uses the fill-reducing sparse LU from internal/linalg/sparse.
-	Sparse
-)
-
-// sparseThreshold is the reduced-system size at which Auto switches to the
-// sparse backend: below it the dense LU's constant factors win.
-const sparseThreshold = 64
 
 // Factors holds a factorization of the reduced susceptance matrix for one
 // grid and topology, with lazily cached per-line transfer vectors. Safe for
@@ -67,33 +49,13 @@ type Factors struct {
 	lineVec map[int][]float64
 }
 
-// New computes factors for the grid under the given topology, selecting the
-// backend automatically.
+// New computes factors for the grid under the given topology, factorizing
+// B through grid.FactorizeB.
 func New(g *grid.Grid, t grid.Topology) (*Factors, error) {
-	return NewWith(g, t, Auto)
-}
-
-// NewWith computes factors with an explicit backend choice.
-func NewWith(g *grid.Grid, t grid.Topology, backend Backend) (*Factors, error) {
 	if !g.Connected(t) {
 		return nil, fmt.Errorf("dist: %w", ErrRadial)
 	}
-	n := g.NumBuses() - 1
-	if backend == Auto {
-		if n >= sparseThreshold {
-			backend = Sparse
-		} else {
-			backend = Dense
-		}
-	}
-	var fact linalg.Factorization
-	var err error
-	switch backend {
-	case Sparse:
-		fact, err = sparse.Factorize(g.BSparse(t))
-	default:
-		fact, err = linalg.Factorize(g.BMatrix(t))
-	}
+	fact, err := g.FactorizeB(t)
 	if err != nil {
 		return nil, fmt.Errorf("dist: B matrix factorization: %w", err)
 	}

@@ -87,65 +87,3 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// SolveMatrix solves A*X = B column by column.
-func (f *LU) SolveMatrix(b *Matrix) (*Matrix, error) {
-	if b.Rows() != f.n {
-		return nil, fmt.Errorf("%w: rhs has %d rows, want %d", ErrDimension, b.Rows(), f.n)
-	}
-	out := NewMatrix(f.n, b.Cols())
-	for j := 0; j < b.Cols(); j++ {
-		col, err := f.Solve(b.Col(j))
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range col {
-			out.Set(i, j, v)
-		}
-	}
-	return out, nil
-}
-
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	det := 1.0
-	for i := 0; i < f.n; i++ {
-		det *= f.lu.At(i, i)
-	}
-	// Sign from the permutation parity.
-	visited := make([]bool, f.n)
-	for i := 0; i < f.n; i++ {
-		if visited[i] {
-			continue
-		}
-		// Walk the cycle containing i; a cycle of length L contributes
-		// (-1)^(L-1) to the permutation sign.
-		length := 0
-		for j := i; !visited[j]; j = f.perm[j] {
-			visited[j] = true
-			length++
-		}
-		if length%2 == 0 {
-			det = -det
-		}
-	}
-	return det
-}
-
-// Solve solves the square linear system a*x = b.
-func Solve(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
-// Inverse returns the inverse of the square matrix a.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveMatrix(Identity(a.Rows()))
-}

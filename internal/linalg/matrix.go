@@ -1,19 +1,14 @@
-// Package linalg provides dense linear algebra primitives used across the
-// power-system substrates: matrices, vectors, LU factorization, linear
-// solves, matrix inversion, and rank computation.
-//
-// The package is deliberately small and dependency-free. Power-system
-// matrices in this repository (B, H, PTDF, ...) are dense and modest in size
-// (hundreds of rows), so a dense float64 representation with partial-pivot
-// LU is both simple and fast enough for every workload in the paper's
-// evaluation.
+// Package linalg provides the dense linear algebra the power-system
+// substrates still use: a row-major matrix with products (grid's dense
+// B and H builders) and the partial-pivot LU behind grid.FactorizeB on
+// systems below its sparse threshold. The sparse counterpart, which every
+// larger system and every state estimate uses, lives in linalg/sparse.
 package linalg
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 )
 
 // ErrDimension indicates incompatible operand dimensions.
@@ -35,32 +30,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic("linalg: negative matrix dimension")
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// NewMatrixFromRows builds a matrix from row slices. All rows must have the
-// same length.
-func NewMatrixFromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrDimension, i, len(r), cols)
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }
 
 // Rows returns the number of rows.
@@ -98,31 +67,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// SetRow overwrites row i with the given values.
-func (m *Matrix) SetRow(i int, vals []float64) error {
-	if len(vals) != m.cols {
-		return fmt.Errorf("%w: row length %d, want %d", ErrDimension, len(vals), m.cols)
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], vals)
-	return nil
 }
 
 // Transpose returns a new matrix that is the transpose of m.
@@ -175,38 +119,6 @@ func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Scale multiplies every element of m by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// AddMatrix returns m + other.
-func (m *Matrix) AddMatrix(other *Matrix) (*Matrix, error) {
-	if m.rows != other.rows || m.cols != other.cols {
-		return nil, fmt.Errorf("%w: %dx%d + %dx%d", ErrDimension, m.rows, m.cols, other.rows, other.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += other.data[i]
-	}
-	return out, nil
-}
-
-// SubMatrix returns m - other.
-func (m *Matrix) SubMatrix(other *Matrix) (*Matrix, error) {
-	if m.rows != other.rows || m.cols != other.cols {
-		return nil, fmt.Errorf("%w: %dx%d - %dx%d", ErrDimension, m.rows, m.cols, other.rows, other.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= other.data[i]
-	}
-	return out, nil
-}
-
 // MaxAbs returns the largest absolute element value, or 0 for an empty matrix.
 func (m *Matrix) MaxAbs() float64 {
 	var mx float64
@@ -216,61 +128,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			if j > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%10.5f", m.At(i, j))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Rank returns the numerical rank of m using Gaussian elimination with
-// partial pivoting and the given absolute tolerance for treating pivots as
-// zero. A tolerance <= 0 selects a default scaled by the matrix magnitude.
-func (m *Matrix) Rank(tol float64) int {
-	a := m.Clone()
-	if tol <= 0 {
-		tol = 1e-9 * math.Max(1, a.MaxAbs())
-	}
-	rank := 0
-	row := 0
-	for col := 0; col < a.cols && row < a.rows; col++ {
-		// Find pivot.
-		pivot := row
-		best := math.Abs(a.At(row, col))
-		for r := row + 1; r < a.rows; r++ {
-			if v := math.Abs(a.At(r, col)); v > best {
-				best = v
-				pivot = r
-			}
-		}
-		if best <= tol {
-			continue
-		}
-		a.swapRows(row, pivot)
-		pv := a.At(row, col)
-		for r := row + 1; r < a.rows; r++ {
-			f := a.At(r, col) / pv
-			if f == 0 {
-				continue
-			}
-			for c := col; c < a.cols; c++ {
-				a.Set(r, c, a.At(r, c)-f*a.At(row, c))
-			}
-		}
-		rank++
-		row++
-	}
-	return rank
 }
 
 func (m *Matrix) swapRows(i, j int) {

@@ -12,39 +12,23 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
-func TestNewMatrixFromRows(t *testing.T) {
-	m, err := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatalf("NewMatrixFromRows: %v", err)
+// fromRows builds a matrix from equal-length row slices.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		for j, v := range r {
+			m.Set(i, j, v)
+		}
 	}
-	if m.Rows() != 2 || m.Cols() != 2 {
-		t.Fatalf("dims = %dx%d, want 2x2", m.Rows(), m.Cols())
-	}
-	if m.At(1, 0) != 3 {
-		t.Errorf("At(1,0) = %v, want 3", m.At(1, 0))
-	}
-}
-
-func TestNewMatrixFromRowsRagged(t *testing.T) {
-	_, err := NewMatrixFromRows([][]float64{{1, 2}, {3}})
-	if !errors.Is(err, ErrDimension) {
-		t.Fatalf("err = %v, want ErrDimension", err)
-	}
-}
-
-func TestNewMatrixFromRowsEmpty(t *testing.T) {
-	m, err := NewMatrixFromRows(nil)
-	if err != nil {
-		t.Fatalf("NewMatrixFromRows(nil): %v", err)
-	}
-	if m.Rows() != 0 || m.Cols() != 0 {
-		t.Fatalf("dims = %dx%d, want 0x0", m.Rows(), m.Cols())
-	}
+	return m
 }
 
 func TestIdentityMul(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
-	id := Identity(3)
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
+	id := NewMatrix(3, 3)
+	for i := 0; i < 3; i++ {
+		id.Set(i, i, 1)
+	}
 	got, err := a.Mul(id)
 	if err != nil {
 		t.Fatalf("Mul: %v", err)
@@ -67,8 +51,8 @@ func TestMulDimensionMismatch(t *testing.T) {
 }
 
 func TestMulKnown(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := NewMatrixFromRows([][]float64{{5, 6}, {7, 8}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
 	got, err := a.Mul(b)
 	if err != nil {
 		t.Fatalf("Mul: %v", err)
@@ -84,7 +68,7 @@ func TestMulKnown(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	at := a.Transpose()
 	if at.Rows() != 3 || at.Cols() != 2 {
 		t.Fatalf("dims = %dx%d, want 3x2", at.Rows(), at.Cols())
@@ -115,81 +99,13 @@ func TestTransposeInvolution(t *testing.T) {
 }
 
 func TestMulVec(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
 	got, err := a.MulVec([]float64{1, 1})
 	if err != nil {
 		t.Fatalf("MulVec: %v", err)
 	}
 	if got[0] != 3 || got[1] != 7 {
 		t.Errorf("got %v, want [3 7]", got)
-	}
-}
-
-func TestRowColAccessors(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	row := a.Row(1)
-	row[0] = 99 // must not alias
-	if a.At(1, 0) != 4 {
-		t.Error("Row returned an aliased slice")
-	}
-	col := a.Col(2)
-	if col[0] != 3 || col[1] != 6 {
-		t.Errorf("Col(2) = %v, want [3 6]", col)
-	}
-}
-
-func TestSetRow(t *testing.T) {
-	a := NewMatrix(2, 3)
-	if err := a.SetRow(0, []float64{7, 8, 9}); err != nil {
-		t.Fatalf("SetRow: %v", err)
-	}
-	if a.At(0, 2) != 9 {
-		t.Errorf("At(0,2) = %v, want 9", a.At(0, 2))
-	}
-	if err := a.SetRow(0, []float64{1}); !errors.Is(err, ErrDimension) {
-		t.Fatalf("err = %v, want ErrDimension", err)
-	}
-}
-
-func TestAddSubMatrix(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := NewMatrixFromRows([][]float64{{4, 3}, {2, 1}})
-	sum, err := a.AddMatrix(b)
-	if err != nil {
-		t.Fatalf("AddMatrix: %v", err)
-	}
-	if sum.At(0, 0) != 5 || sum.At(1, 1) != 5 {
-		t.Errorf("sum wrong: %v", sum)
-	}
-	diff, err := sum.SubMatrix(b)
-	if err != nil {
-		t.Fatalf("SubMatrix: %v", err)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if diff.At(i, j) != a.At(i, j) {
-				t.Fatalf("(a+b)-b != a at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestRankFullAndDeficient(t *testing.T) {
-	full, _ := NewMatrixFromRows([][]float64{{1, 0}, {0, 1}})
-	if r := full.Rank(0); r != 2 {
-		t.Errorf("rank(I2) = %d, want 2", r)
-	}
-	deficient, _ := NewMatrixFromRows([][]float64{{1, 2}, {2, 4}})
-	if r := deficient.Rank(0); r != 1 {
-		t.Errorf("rank = %d, want 1", r)
-	}
-	wide, _ := NewMatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	if r := wide.Rank(0); r != 2 {
-		t.Errorf("rank(wide) = %d, want 2", r)
-	}
-	zero := NewMatrix(3, 3)
-	if r := zero.Rank(0); r != 0 {
-		t.Errorf("rank(0) = %d, want 0", r)
 	}
 }
 
@@ -219,11 +135,14 @@ func TestMulTransposeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		diff, err := lhs.SubMatrix(rhs)
-		if err != nil {
-			return false
+		for i := 0; i < p; i++ {
+			for j := 0; j < n; j++ {
+				if math.Abs(lhs.At(i, j)-rhs.At(i, j)) >= 1e-9 {
+					return false
+				}
+			}
 		}
-		return diff.MaxAbs() < 1e-9
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

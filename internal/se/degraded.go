@@ -1,34 +1,43 @@
 package se
 
 import (
+	"errors"
 	"sort"
 
 	"gridattack/internal/grid"
-	"gridattack/internal/linalg"
 	"gridattack/internal/measure"
 )
+
+// pseudoWeightFactor scales down the weight of pseudo-measurements
+// substituted from the last good snapshot in degraded mode, so stale values
+// anchor observability without drowning out live telemetry.
+const pseudoWeightFactor = 0.01
 
 // EstimatePartial runs WLS estimation tolerating an incomplete measurement
 // set — the degraded-mode entry point for a control center whose RTUs are
 // failing. The escalation ladder is:
 //
-//  1. Nothing missing: delegate to Estimate (not degraded).
+//  1. Nothing missing: the estimate of Estimate, bit for bit (not
+//     degraded).
 //  2. The surviving measurements alone keep the system observable: solve
 //     with exactly those (degraded, no pseudo-measurements).
 //  3. Otherwise, if lastGood is non-nil, substitute pseudo-measurements
 //     from it for the missing entries, down-weighted by
-//     PseudoWeightFactor, and solve the full system.
+//     pseudoWeightFactor, and solve the full system.
 //  4. Otherwise, solve the observable island around the reference bus —
 //     the largest bus set connected by lines with surviving flow
 //     telemetry — and report angles outside it as unknown (zero).
 //  5. Failing all of those, return ErrUnobservable.
+//
+// Every rung runs the one sparse WLS solver; the factorization of its gain
+// matrix decides whether the rung's measurements observe its states.
 func (e *Estimator) EstimatePartial(t grid.Topology, z, lastGood *measure.Vector) (*Result, error) {
-	h, idx, err := e.estimationMatrix(t)
+	rows, idx, err := e.measRows(t)
 	if err != nil {
 		return nil, err
 	}
 	var missing []int
-	var rows [][]float64
+	var prows []measRow
 	var pidx []int
 	var pzv, pw []float64
 	for k, i := range idx {
@@ -36,40 +45,30 @@ func (e *Estimator) EstimatePartial(t grid.Topology, z, lastGood *measure.Vector
 			missing = append(missing, i)
 			continue
 		}
-		rows = append(rows, h.Row(k))
+		prows = append(prows, rows[k])
 		pidx = append(pidx, i)
 		pzv = append(pzv, z.Values[i])
 		pw = append(pw, e.weightOf(i))
 	}
-	if len(missing) == 0 {
-		return e.Estimate(t, z)
-	}
-	n := e.grid.NumBuses() - 1
+	stateBuses := e.stateBuses()
 
-	// 2. Survivors alone.
-	if len(rows) >= n {
-		hp, err := linalg.NewMatrixFromRows(rows)
-		if err != nil {
-			return nil, err
-		}
-		if hp.Rank(0) >= n {
-			res, err := e.solveWLS(t, hp, pidx, pzv, pw, e.stateBuses())
-			if err != nil {
-				return nil, err
-			}
-			res.Degraded = true
-			res.Missing = missing
-			return res, nil
-		}
+	// 1. Complete telemetry, or 2. the survivors alone.
+	res, err := e.solve(t, prows, pidx, pzv, pw, stateBuses)
+	if len(missing) == 0 {
+		return res, err
+	}
+	if err == nil {
+		res.Degraded = true
+		res.Missing = missing
+		return res, nil
+	}
+	if !errors.Is(err, ErrUnobservable) {
+		return nil, err
 	}
 
 	// 3. Pseudo-measurements from the last good snapshot.
 	if lastGood != nil {
-		factor := e.PseudoWeightFactor
-		if factor <= 0 {
-			factor = 0.01
-		}
-		arows := append([][]float64(nil), rows...)
+		arows := append([]measRow(nil), prows...)
 		aidx := append([]int(nil), pidx...)
 		azv := append([]float64(nil), pzv...)
 		aw := append([]float64(nil), pw...)
@@ -78,32 +77,28 @@ func (e *Estimator) EstimatePartial(t grid.Topology, z, lastGood *measure.Vector
 			if z.Present[i] || !lastGood.Present[i] {
 				continue
 			}
-			arows = append(arows, h.Row(k))
+			arows = append(arows, rows[k])
 			aidx = append(aidx, i)
 			azv = append(azv, lastGood.Values[i])
-			aw = append(aw, e.weightOf(i)*factor)
+			aw = append(aw, e.weightOf(i)*pseudoWeightFactor)
 			pseudo = append(pseudo, i)
 		}
-		if len(pseudo) > 0 && len(arows) >= n {
-			ha, err := linalg.NewMatrixFromRows(arows)
-			if err != nil {
-				return nil, err
-			}
-			if ha.Rank(0) >= n {
-				res, err := e.solveWLS(t, ha, aidx, azv, aw, e.stateBuses())
-				if err != nil {
-					return nil, err
-				}
+		if len(pseudo) > 0 {
+			res, err := e.solve(t, arows, aidx, azv, aw, stateBuses)
+			if err == nil {
 				res.Degraded = true
 				res.Missing = missing
 				res.Pseudo = pseudo
 				return res, nil
 			}
+			if !errors.Is(err, ErrUnobservable) {
+				return nil, err
+			}
 		}
 	}
 
 	// 4. Observable island around the reference bus.
-	if res, ok := e.islandSolve(t, rows, pidx, pzv, pw); ok {
+	if res, ok := e.islandSolve(t, stateBuses, prows, pidx, pzv, pw); ok {
 		res.Degraded = true
 		res.Missing = missing
 		return res, nil
@@ -111,37 +106,14 @@ func (e *Estimator) EstimatePartial(t grid.Topology, z, lastGood *measure.Vector
 	return nil, ErrUnobservable
 }
 
-// ObservableWith reports whether the measurements present in z keep the
-// system observable under topology t.
-func (e *Estimator) ObservableWith(t grid.Topology, z *measure.Vector) (bool, error) {
-	h, idx, err := e.estimationMatrix(t)
-	if err != nil {
-		return false, err
-	}
-	var rows [][]float64
-	for k, i := range idx {
-		if z.Present[i] {
-			rows = append(rows, h.Row(k))
-		}
-	}
-	n := e.grid.NumBuses() - 1
-	if len(rows) < n {
-		return false, nil
-	}
-	hp, err := linalg.NewMatrixFromRows(rows)
-	if err != nil {
-		return false, err
-	}
-	return hp.Rank(0) >= n, nil
-}
-
 // islandSolve attempts a reduced WLS solve over the observable island: the
 // connected component of the reference bus through topology lines that
 // still have flow telemetry. Only measurement rows whose support lies
-// entirely inside the island are usable. Returns ok=false when the island
-// is trivial, covers the whole system (then the full-rank check already
-// failed), or is itself rank-deficient.
-func (e *Estimator) islandSolve(t grid.Topology, rows [][]float64, pidx []int, pzv, pw []float64) (*Result, bool) {
+// entirely inside the island are usable; their columns are renumbered to
+// the island's states. Returns ok=false when the island is trivial, covers
+// the whole system (then the full-system solve already failed), or is
+// itself unobservable.
+func (e *Estimator) islandSolve(t grid.Topology, all []int, rows []measRow, pidx []int, pzv, pw []float64) (*Result, bool) {
 	surviving := make(map[int]bool, len(pidx))
 	for _, i := range pidx {
 		surviving[i] = true
@@ -167,61 +139,37 @@ func (e *Estimator) islandSolve(t grid.Topology, rows [][]float64, pidx []int, p
 		return nil, false
 	}
 
-	// Column selection: island states, in reduced-matrix column order.
-	all := e.stateBuses()
-	colOf := make(map[int]int, len(all)) // bus -> column in the full matrix
+	// Column selection: island states, in reduced-matrix column order;
+	// islandCol maps a full column to its island column (-1 outside).
+	islandCol := make([]int, len(all))
 	var stateBuses []int
-	var cols []int
 	for c, bus := range all {
-		colOf[bus] = c
+		islandCol[c] = -1
 		if island[bus] {
+			islandCol[c] = len(stateBuses)
 			stateBuses = append(stateBuses, bus)
-			cols = append(cols, c)
 		}
-	}
-	if len(stateBuses) == 0 {
-		return nil, false
 	}
 
 	// Row selection: support entirely inside the island's columns.
-	inIsland := make([]bool, len(all))
-	for _, c := range cols {
-		inIsland[c] = true
-	}
-	var irows [][]float64
+	var irows []measRow
 	var iidx []int
 	var izv, iw []float64
+rowLoop:
 	for k, row := range rows {
-		ok := true
-		for c, v := range row {
-			if v != 0 && !inIsland[c] {
-				ok = false
-				break
+		sub := measRow{cols: make([]int, len(row.cols)), vals: row.vals}
+		for a, c := range row.cols {
+			if islandCol[c] < 0 {
+				continue rowLoop
 			}
-		}
-		if !ok {
-			continue
-		}
-		sub := make([]float64, len(cols))
-		for j, c := range cols {
-			sub[j] = row[c]
+			sub.cols[a] = islandCol[c]
 		}
 		irows = append(irows, sub)
 		iidx = append(iidx, pidx[k])
 		izv = append(izv, pzv[k])
 		iw = append(iw, pw[k])
 	}
-	if len(irows) < len(stateBuses) {
-		return nil, false
-	}
-	hi, err := linalg.NewMatrixFromRows(irows)
-	if err != nil {
-		return nil, false
-	}
-	if hi.Rank(0) < len(stateBuses) {
-		return nil, false
-	}
-	res, err := e.solveWLS(t, hi, iidx, izv, iw, stateBuses)
+	res, err := e.solve(t, irows, iidx, izv, iw, stateBuses)
 	if err != nil {
 		return nil, false
 	}

@@ -128,7 +128,11 @@ func TestEstimatePartialPseudoFallback(t *testing.T) {
 	est := NewEstimator(g, sparse)
 	partial := drop(zs, lost...)
 
-	if ok, err := est.ObservableWith(g.TrueTopology(), partial); err != nil || ok {
+	survivors := measure.NewPlan(g.NumLines(), g.NumBuses())
+	for i := 1; i <= sparse.M(); i++ {
+		survivors.Taken[i] = partial.Present[i]
+	}
+	if ok, err := NewEstimator(g, survivors).Observable(g.TrueTopology()); err != nil || ok {
 		t.Fatalf("survivors unexpectedly observable (ok=%v, err=%v); scenario broken", ok, err)
 	}
 	// Without a snapshot and with no observable island, estimation fails.

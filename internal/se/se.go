@@ -7,6 +7,10 @@
 // taken measurements, and W a diagonal weighting matrix. The measurement
 // residual ||z - H*x_hat|| drives bad-data detection; stealthy (UFDI)
 // attacks are precisely those that leave the residual unchanged.
+//
+// H is never densified: every estimate, complete or degraded, assembles the
+// gain matrix H^T W H from sparse measurement rows and solves it with the
+// fill-reducing sparse LU, whose success decides observability.
 package se
 
 import (
@@ -15,32 +19,13 @@ import (
 	"math"
 
 	"gridattack/internal/grid"
-	"gridattack/internal/linalg"
+	"gridattack/internal/linalg/sparse"
 	"gridattack/internal/measure"
 )
 
 // ErrUnobservable indicates the taken measurement set cannot determine the
 // system state (rank-deficient H).
 var ErrUnobservable = errors.New("se: system unobservable with the taken measurements")
-
-// Backend selects the linear-algebra path for the WLS normal equations.
-type Backend int
-
-const (
-	// BackendAuto picks BackendSparse for systems with at least
-	// sparseStateThreshold states and BackendDense below that.
-	BackendAuto Backend = iota
-	// BackendDense solves H^T W H through the dense LU (explicit H).
-	BackendDense
-	// BackendSparse assembles the gain matrix from sparse measurement rows
-	// and solves it with the fill-reducing sparse LU; H^T W H is never
-	// densified and B^-1-style explicit inverses are never formed.
-	BackendSparse
-)
-
-// sparseStateThreshold is the state count at which BackendAuto switches the
-// full-telemetry estimation path to sparse assembly.
-const sparseStateThreshold = 64
 
 // Estimator performs WLS state estimation for one grid and measurement plan.
 type Estimator struct {
@@ -55,18 +40,6 @@ type Estimator struct {
 	// chi-square test at 95% confidence with m-n degrees of freedom is used
 	// instead.
 	Threshold float64
-
-	// PseudoWeightFactor scales down the weight of pseudo-measurements
-	// substituted from the last good snapshot in degraded mode, so stale
-	// values anchor observability without drowning out live telemetry.
-	// 0 selects 0.01.
-	PseudoWeightFactor float64
-
-	// Backend selects the normal-equation solve path (BackendAuto sizes it
-	// to the system). Degraded-mode estimation (EstimatePartial) always uses
-	// the dense path: it is cold, and its island/rank logic needs explicit
-	// rows.
-	Backend Backend
 }
 
 // NewEstimator returns an estimator for the grid and plan.
@@ -118,36 +91,46 @@ type Result struct {
 	IslandBuses []int
 }
 
-// estimationMatrix builds the reduced measurement matrix restricted to taken
-// measurements, with the consumption block negated so that z = H*theta holds
-// exactly for the sign conventions of package measure (consumption =
-// incoming - outgoing flows, the negative of the paper's A^T*D*A block).
-func (e *Estimator) estimationMatrix(t grid.Topology) (*linalg.Matrix, []int, error) {
-	full, err := e.grid.ReducedMeasurementMatrix(t)
+// measRow is one taken row of the reduced measurement matrix: its nonzero
+// columns and values, with the consumption block negated so that
+// z = H*theta holds exactly for the sign conventions of package measure
+// (consumption = incoming - outgoing flows, the negative of the paper's
+// A^T*D*A block).
+type measRow struct {
+	cols []int
+	vals []float64
+}
+
+// measRows extracts the plan's taken rows of the sparse reduced measurement
+// matrix under topology t, with their 1-based measurement numbers.
+func (e *Estimator) measRows(t grid.Topology) ([]measRow, []int, error) {
+	hr, err := e.grid.ReducedMeasurementSparse(t)
 	if err != nil {
 		return nil, nil, err
 	}
 	l := e.grid.NumLines()
-	var rows [][]float64
+	var rows []measRow
 	var idx []int
 	for i := 1; i <= e.plan.M(); i++ {
 		if !e.plan.Taken[i] {
 			continue
 		}
-		row := full.Row(i - 1)
-		if i > 2*l { // consumption rows: flip sign (see doc comment)
-			for j := range row {
-				row[j] = -row[j]
-			}
+		sign := 1.0
+		if i > 2*l { // consumption rows: flip sign (see measRow)
+			sign = -1
 		}
-		rows = append(rows, row)
+		r := measRow{
+			cols: make([]int, 0, hr.RowNNZ(i-1)),
+			vals: make([]float64, 0, hr.RowNNZ(i-1)),
+		}
+		hr.Row(i-1, func(j int, v float64) {
+			r.cols = append(r.cols, j)
+			r.vals = append(r.vals, sign*v)
+		})
+		rows = append(rows, r)
 		idx = append(idx, i)
 	}
-	h, err := linalg.NewMatrixFromRows(rows)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, idx, nil
+	return rows, idx, nil
 }
 
 // weightOf returns the configured weight of measurement i (default 1).
@@ -170,36 +153,39 @@ func (e *Estimator) stateBuses() []int {
 	return out
 }
 
-// useSparse reports whether the full-telemetry path should go through the
-// sparse backend.
-func (e *Estimator) useSparse() bool {
-	switch e.Backend {
-	case BackendDense:
-		return false
-	case BackendSparse:
-		return true
-	default:
-		return e.grid.NumBuses()-1 >= sparseStateThreshold
+// factorGain assembles the gain matrix G = H^T W H of rows over n states
+// and factorizes it. Each row contributes w_r * h_r h_r^T, a clique over
+// its nonzeros, so assembly is linear in the network size. A singular G is
+// exactly rank deficiency of H: the factorization decides observability and
+// reports it as ErrUnobservable.
+func factorGain(rows []measRow, w []float64, n int) (*sparse.LU, error) {
+	if len(rows) < n {
+		return nil, fmt.Errorf("%w: %d measurements for %d states", ErrUnobservable, len(rows), n)
 	}
+	gb := sparse.NewBuilder(n, n)
+	for r, row := range rows {
+		wr := w[r]
+		for a, ca := range row.cols {
+			va := wr * row.vals[a]
+			for b, cb := range row.cols {
+				gb.Add(ca, cb, va*row.vals[b])
+			}
+		}
+	}
+	fact, err := sparse.Factorize(gb.ToCSC())
+	if err != nil {
+		return nil, ErrUnobservable
+	}
+	return fact, nil
 }
 
 // Estimate runs WLS estimation of the state from the measurement vector z
 // under the mapped topology t. Every plan-taken measurement must be present
 // in z; use EstimatePartial for degraded telemetry.
 func (e *Estimator) Estimate(t grid.Topology, z *measure.Vector) (*Result, error) {
-	if e.useSparse() {
-		return e.estimateSparse(t, z)
-	}
-	h, idx, err := e.estimationMatrix(t)
+	rows, idx, err := e.measRows(t)
 	if err != nil {
 		return nil, err
-	}
-	n := e.grid.NumBuses() - 1
-	if h.Rows() < n {
-		return nil, fmt.Errorf("%w: %d measurements for %d states", ErrUnobservable, h.Rows(), n)
-	}
-	if h.Rank(0) < n {
-		return nil, ErrUnobservable
 	}
 	zv := make([]float64, len(idx))
 	w := make([]float64, len(idx))
@@ -210,37 +196,29 @@ func (e *Estimator) Estimate(t grid.Topology, z *measure.Vector) (*Result, error
 		zv[k] = z.Values[i]
 		w[k] = e.weightOf(i)
 	}
-	return e.solveWLS(t, h, idx, zv, w, e.stateBuses())
+	return e.solve(t, rows, idx, zv, w, e.stateBuses())
 }
 
-// solveWLS solves one (possibly restricted) WLS instance: h is the
-// measurement matrix over the states of stateBuses (column k is bus
-// stateBuses[k]), idx/zv/w the measurement numbers, values, and weights of
-// its rows. Angles of buses outside stateBuses are reported as zero.
-func (e *Estimator) solveWLS(t grid.Topology, h *linalg.Matrix, idx []int, zv, w []float64, stateBuses []int) (*Result, error) {
+// solve is the one WLS solver: rows are measurement rows over the states of
+// stateBuses (column k is bus stateBuses[k]), idx/zv/w their measurement
+// numbers, values and weights. Angles of buses outside stateBuses are
+// reported as zero. It returns ErrUnobservable when the rows do not
+// determine those states.
+func (e *Estimator) solve(t grid.Topology, rows []measRow, idx []int, zv, w []float64, stateBuses []int) (*Result, error) {
 	n := len(stateBuses)
-
-	// Normal equations: (H^T W H) x = H^T W z.
-	ht := h.Transpose()
-	hw := h.Clone()
-	for r := 0; r < hw.Rows(); r++ {
-		for c := 0; c < hw.Cols(); c++ {
-			hw.Set(r, c, hw.At(r, c)*w[r])
-		}
-	}
-	gain, err := ht.Mul(hw)
+	fact, err := factorGain(rows, w, n)
 	if err != nil {
 		return nil, err
 	}
+	// Normal equations: (H^T W H) x = H^T W z.
 	rhs := make([]float64, n)
-	for c := 0; c < n; c++ {
-		var s float64
-		for r := 0; r < h.Rows(); r++ {
-			s += h.At(r, c) * w[r] * zv[r]
+	for r, row := range rows {
+		wz := w[r] * zv[r]
+		for a, c := range row.cols {
+			rhs[c] += row.vals[a] * wz
 		}
-		rhs[c] = s
 	}
-	xr, err := linalg.Solve(gain, rhs)
+	xr, err := fact.Solve(rhs)
 	if err != nil {
 		return nil, fmt.Errorf("se: gain matrix solve: %w", err)
 	}
@@ -252,23 +230,20 @@ func (e *Estimator) solveWLS(t grid.Topology, h *linalg.Matrix, idx []int, zv, w
 	}
 
 	// Residual and estimated measurements.
-	est, err := h.MulVec(xr)
-	if err != nil {
-		return nil, err
-	}
 	var j2 float64
 	resid := make([]float64, len(idx))
-	for k := range est {
-		resid[k] = zv[k] - est[k]
-		j2 += w[k] * resid[k] * resid[k]
+	estZ := measure.NewVector(e.plan.M())
+	for r, row := range rows {
+		var s float64
+		for a, c := range row.cols {
+			s += row.vals[a] * xr[c]
+		}
+		resid[r] = zv[r] - s
+		j2 += w[r] * resid[r] * resid[r]
+		estZ.Values[idx[r]] = s
+		estZ.Present[idx[r]] = true
 	}
 	residual := math.Sqrt(j2)
-
-	estZ := measure.NewVector(e.plan.M())
-	for k, i := range idx {
-		estZ.Values[i] = est[k]
-		estZ.Present[i] = true
-	}
 
 	flows, err := e.grid.FlowsFromTheta(t, theta)
 	if err != nil {
@@ -288,7 +263,7 @@ func (e *Estimator) solveWLS(t grid.Topology, h *linalg.Matrix, idx []int, zv, w
 		Flows:            flows,
 		DegreesOfFreedom: df,
 	}
-	res.SuspectMeasurement, res.SuspectResidual = e.largestNormalizedResidual(h, w, resid, idx)
+	res.SuspectMeasurement, res.SuspectResidual = largestNormalizedResidual(fact, rows, w, resid, idx)
 	res.BadData = e.detectBadData(residual, df)
 	return res, nil
 }
@@ -328,28 +303,27 @@ func chiSquare95(df int) float64 {
 }
 
 // largestNormalizedResidual returns the measurement with the largest
-// normalized residual |r_i| / sqrt(Omega_ii), the classical bad-data
-// identification statistic. Omega = R - H G^-1 H^T with R = W^-1.
-func (e *Estimator) largestNormalizedResidual(h *linalg.Matrix, w, resid []float64, idx []int) (int, float64) {
-	gain, err := h.Transpose().Mul(weightRows(h, w))
-	if err != nil {
-		return 0, 0
-	}
-	ginv, err := linalg.Inverse(gain)
-	if err != nil {
-		return 0, 0
-	}
+// normalized residual |r_k| / sqrt(Omega_kk), the classical bad-data
+// identification statistic, where Omega = R - H G^-1 H^T with R = W^-1.
+// Each Omega_kk = 1/w_k - h_k G^-1 h_k^T costs one solve with the gain
+// factorization; G^-1 is never formed.
+func largestNormalizedResidual(fact *sparse.LU, rows []measRow, w, resid []float64, idx []int) (int, float64) {
 	bestI, bestV := 0, 0.0
-	for k := range resid {
-		// (H G^-1 H^T)_kk
-		row := h.Row(k)
-		tmp, err := ginv.MulVec(row)
+	rhs := make([]float64, fact.Order())
+	for k, row := range rows {
+		for i := range rhs {
+			rhs[i] = 0
+		}
+		for a, c := range row.cols {
+			rhs[c] = row.vals[a]
+		}
+		tmp, err := fact.Solve(rhs)
 		if err != nil {
 			return 0, 0
 		}
 		var hgh float64
-		for c := range row {
-			hgh += row[c] * tmp[c]
+		for a, c := range row.cols {
+			hgh += row.vals[a] * tmp[c]
 		}
 		omega := 1/w[k] - hgh
 		if omega < 1e-12 {
@@ -364,26 +338,17 @@ func (e *Estimator) largestNormalizedResidual(h *linalg.Matrix, w, resid []float
 	return bestI, bestV
 }
 
-func weightRows(h *linalg.Matrix, w []float64) *linalg.Matrix {
-	out := h.Clone()
-	for r := 0; r < out.Rows(); r++ {
-		for c := 0; c < out.Cols(); c++ {
-			out.Set(r, c, out.At(r, c)*w[r])
-		}
-	}
-	return out
-}
-
 // Observable reports whether the plan's taken measurements make the system
 // observable under topology t.
 func (e *Estimator) Observable(t grid.Topology) (bool, error) {
-	if e.useSparse() {
-		return e.observableSparse(t)
-	}
-	h, _, err := e.estimationMatrix(t)
+	rows, idx, err := e.measRows(t)
 	if err != nil {
 		return false, err
 	}
-	n := e.grid.NumBuses() - 1
-	return h.Rows() >= n && h.Rank(0) >= n, nil
+	w := make([]float64, len(idx))
+	for k, i := range idx {
+		w[k] = e.weightOf(i)
+	}
+	_, err = factorGain(rows, w, e.grid.NumBuses()-1)
+	return err == nil, nil
 }

@@ -256,3 +256,28 @@ func TestEstimateRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSparseBackendUnobservable: a singular gain matrix must classify as
+// ErrUnobservable, in Estimate and in Observable alike, even when there are
+// as many measurements as states.
+func TestSparseBackendUnobservable(t *testing.T) {
+	g, _, pf := solved5Bus(t)
+	// Both flows of lines 1 and 2: four measurements of rank 2 cannot
+	// determine 4 states.
+	plan := measure.NewPlan(g.NumLines(), g.NumBuses())
+	for _, line := range []int{1, 2} {
+		plan.Taken[plan.ForwardIndex(line)] = true
+		plan.Taken[plan.BackwardIndex(line)] = true
+	}
+	z, err := plan.FromPowerFlow(g, pf, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := NewEstimator(g, plan)
+	if _, err := est.Estimate(g.TrueTopology(), z); !errors.Is(err, ErrUnobservable) {
+		t.Fatalf("err = %v, want ErrUnobservable", err)
+	}
+	if ok, err := est.Observable(g.TrueTopology()); err != nil || ok {
+		t.Fatalf("Observable = %v, %v; want false, nil", ok, err)
+	}
+}
