@@ -1,14 +1,16 @@
 // Command difftest runs the differential & metamorphic verification harness
 // (internal/difftest): it generates random well-formed systems and
 // cross-validates every numeric layer — SMT verdicts, DC-OPF costs, WLS
-// estimates, LODF/LCDF predictions, and the Fig. 2 impact loop — against
-// independent exact-arithmetic oracles and metamorphic symmetries.
+// estimates, LODF/LCDF predictions, the Fig. 2 impact loop and its Fig. 4(a)
+// threshold ladder — against independent exact-arithmetic oracles,
+// metamorphic symmetries and independent per-target runs.
 //
 // Usage:
 //
 //	difftest -n 200 -seed 1                # full sweep, all layers
 //	difftest -n 50 -short                  # CI fast lane
 //	difftest -layers smt,opf -n 500        # restrict layers
+//	difftest -layers ladder -n 50          # ladder vs per-target runs
 //	difftest -n 1 -seed-exact 12345 -layers dist
 //	                                       # replay one reported case seed
 //	difftest -shrink -fixtures testdata/difftest

@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"gridattack/internal/expr"
 	"gridattack/internal/grid"
 	"gridattack/internal/measure"
 	"gridattack/internal/smt"
@@ -24,10 +23,6 @@ type Model struct {
 	pf   *grid.PowerFlow
 
 	solver *smt.Solver
-
-	// b is the hash-consed expression builder all constraints are built
-	// through (NewModel, Block).
-	b *expr.Builder
 
 	// Boolean variable handles (indexed 1-based by line/measurement/bus).
 	p, q, k []int
@@ -60,7 +55,7 @@ func NewModel(g *grid.Grid, plan *measure.Plan, capability Capability, pf *grid.
 	if err := validateInputs(g, plan, pf); err != nil {
 		return nil, err
 	}
-	m := &Model{g: g, plan: plan, cap: capability, pf: pf, solver: smt.NewSolver(), b: expr.NewBuilder()}
+	m := &Model{g: g, plan: plan, cap: capability, pf: pf, solver: smt.NewSolver()}
 	m.declareVariables()
 	m.assertTopologyRules()
 	m.assertTopologyFlowDeltas()
@@ -81,6 +76,11 @@ func NewModel(g *grid.Grid, plan *measure.Plan, capability Capability, pf *grid.
 
 // Solver exposes the underlying SMT solver (for statistics).
 func (m *Model) Solver() *smt.Solver { return m.solver }
+
+// varCmp returns the atom x op c over one real variable x.
+func varCmp(x int, op smt.Op, c float64) *smt.Formula {
+	return smt.AtomFloat(smt.NewLinExpr().AddInt(1, x), op, c)
+}
 
 func (m *Model) declareVariables() {
 	l, b := m.g.NumLines(), m.g.NumBuses()
@@ -126,25 +126,25 @@ func (m *Model) declareVariables() {
 // assertTopologyRules encodes Eqs. 10-12: which lines can be excluded or
 // included, and the mapped-topology indicator k_i.
 func (m *Model) assertTopologyRules() {
-	s, b := m.solver, m.b
+	s := m.solver
 	for _, ln := range m.g.Lines {
 		i := ln.ID
-		pF, qF, kF := b.BoolVar(m.p[i]), b.BoolVar(m.q[i]), b.BoolVar(m.k[i])
+		pF, qF, kF := smt.Bool(m.p[i]), smt.Bool(m.q[i]), smt.Bool(m.k[i])
 		// Eq. 11: p_i -> u_i & !v_i & !w_i (plus the input's per-line
 		// attacker ability flag).
 		if !(ln.InService && !ln.Core && !ln.StatusSecured && ln.CanAlterStatus) {
-			b.Assert(s, b.Not(pF))
+			s.Assert(smt.Not(pF))
 		}
 		// Eq. 12: q_i -> !u_i & !w_i (plus ability).
 		if !(!ln.InService && !ln.StatusSecured && ln.CanAlterStatus) {
-			b.Assert(s, b.Not(qF))
+			s.Assert(smt.Not(qF))
 		}
 		// Eq. 10 (as a biconditional so k_i is well defined):
 		// k_i <-> (u_i & !p_i) | (!u_i & q_i).
 		if ln.InService {
-			b.Assert(s, b.Iff(kF, b.Not(pF)))
+			s.Assert(smt.Iff(kF, smt.Not(pF)))
 		} else {
-			b.Assert(s, b.Iff(kF, qF))
+			s.Assert(smt.Iff(kF, qF))
 		}
 	}
 }
@@ -153,23 +153,23 @@ func (m *Model) assertTopologyRules() {
 // required by exclusion (erase the current flow) and inclusion (fabricate
 // the flow implied by the current states).
 func (m *Model) assertTopologyFlowDeltas() {
-	s, b := m.solver, m.b
+	s := m.solver
 	for _, ln := range m.g.Lines {
 		i := ln.ID
-		dv := b.RealVar(m.dTopo[i])
-		pF, qF := b.BoolVar(m.p[i]), b.BoolVar(m.q[i])
+		dv := m.dTopo[i]
+		pF, qF := smt.Bool(m.p[i]), smt.Bool(m.q[i])
 		if ln.InService {
 			// Eq. 13: p_i -> dTopo_i = -P_i^L (current flow).
-			b.Assert(s, b.Implies(pF, b.CmpFloat(dv, smt.OpEQ, -m.pf.LineFlow[i-1])))
+			s.Assert(smt.Implies(pF, varCmp(dv, smt.OpEQ, -m.pf.LineFlow[i-1])))
 		}
 		if !ln.InService {
 			// Eq. 14: q_i -> dTopo_i = d_i*(theta_f - theta_e) estimated
 			// from the current states.
 			est := ln.Admittance * (m.pf.Theta[ln.From-1] - m.pf.Theta[ln.To-1])
-			b.Assert(s, b.Implies(qF, b.CmpFloat(dv, smt.OpEQ, est)))
+			s.Assert(smt.Implies(qF, varCmp(dv, smt.OpEQ, est)))
 		}
 		// Eq. 15: no topology error on i -> dTopo_i = 0.
-		b.Assert(s, b.Implies(b.Not(b.Or(pF, qF)), b.CmpInt(dv, smt.OpEQ, 0)))
+		s.Assert(smt.Implies(smt.Not(smt.Or(pF, qF)), varCmp(dv, smt.OpEQ, 0)))
 	}
 }
 
@@ -177,58 +177,56 @@ func (m *Model) assertTopologyFlowDeltas() {
 // mapped lines; unmapped lines see no state-driven change; c_j marks
 // infected states.
 func (m *Model) assertStateInfection() {
-	s, b := m.solver, m.b
+	s := m.solver
 	// The reference angle is fixed by convention and cannot be infected.
-	b.Assert(s, b.CmpInt(b.RealVar(m.dTheta[m.g.RefBus]), smt.OpEQ, 0))
-	b.Assert(s, b.Not(b.BoolVar(m.c[m.g.RefBus])))
+	s.Assert(varCmp(m.dTheta[m.g.RefBus], smt.OpEQ, 0))
+	s.Assert(smt.Not(smt.Bool(m.c[m.g.RefBus])))
 	for _, ln := range m.g.Lines {
 		i := ln.ID
-		kF := b.BoolVar(m.k[i])
+		kF := smt.Bool(m.k[i])
 		// Eq. 24: k_i -> dState_i = d_i*(dTheta_f - dTheta_e).
-		rel := b.Sum(b.RealVar(m.dState[i]),
-			b.ScaleFloat(-ln.Admittance, b.RealVar(m.dTheta[ln.From])),
-			b.ScaleFloat(ln.Admittance, b.RealVar(m.dTheta[ln.To])))
-		b.Assert(s, b.Implies(kF, b.CmpInt(rel, smt.OpEQ, 0)))
+		rel := smt.NewLinExpr().AddInt(1, m.dState[i]).
+			AddFloat(-ln.Admittance, m.dTheta[ln.From]).
+			AddFloat(ln.Admittance, m.dTheta[ln.To])
+		s.Assert(smt.Implies(kF, smt.AtomFloat(rel, smt.OpEQ, 0)))
 		// Eq. 25: !k_i -> dState_i = 0.
-		b.Assert(s, b.Implies(b.Not(kF), b.CmpInt(b.RealVar(m.dState[i]), smt.OpEQ, 0)))
+		s.Assert(smt.Implies(smt.Not(kF), varCmp(m.dState[i], smt.OpEQ, 0)))
 	}
 	// Eq. 26 (both directions): c_j <-> dTheta_j != 0.
 	for j := 1; j <= m.g.NumBuses(); j++ {
 		if j == m.g.RefBus {
 			continue
 		}
-		b.Assert(s, b.Iff(b.BoolVar(m.c[j]), b.CmpInt(b.RealVar(m.dTheta[j]), smt.OpNE, 0)))
+		s.Assert(smt.Iff(smt.Bool(m.c[j]), varCmp(m.dTheta[j], smt.OpNE, 0)))
 	}
 }
 
 // assertTotalDeltas encodes Eq. 27: total flow change is the sum of the
 // topology-driven and state-driven changes.
 func (m *Model) assertTotalDeltas() {
-	s, b := m.solver, m.b
 	for i := 1; i <= m.g.NumLines(); i++ {
-		parts := []*expr.Node{b.RealVar(m.dTot[i]), b.Neg(b.RealVar(m.dTopo[i]))}
+		sum := smt.NewLinExpr().AddInt(1, m.dTot[i]).AddInt(-1, m.dTopo[i])
 		if m.cap.States {
-			parts = append(parts, b.Neg(b.RealVar(m.dState[i])))
+			sum.AddInt(-1, m.dState[i])
 		}
-		b.Assert(s, b.CmpInt(b.Sum(parts...), smt.OpEQ, 0))
+		m.solver.Assert(smt.AtomFloat(sum, smt.OpEQ, 0))
 	}
 }
 
 // assertConsumptionDeltas encodes Eqs. 16/28: consumption-measurement
 // changes aggregate the incident flow changes.
 func (m *Model) assertConsumptionDeltas() {
-	s, b := m.solver, m.b
 	for j := 1; j <= m.g.NumBuses(); j++ {
-		parts := []*expr.Node{b.RealVar(m.dCons[j])}
+		sum := smt.NewLinExpr().AddInt(1, m.dCons[j])
 		for _, ln := range m.g.Lines {
 			if ln.To == j {
-				parts = append(parts, b.Neg(b.RealVar(m.dTot[ln.ID])))
+				sum.AddInt(-1, m.dTot[ln.ID])
 			}
 			if ln.From == j {
-				parts = append(parts, b.RealVar(m.dTot[ln.ID]))
+				sum.AddInt(1, m.dTot[ln.ID])
 			}
 		}
-		b.Assert(s, b.CmpInt(b.Sum(parts...), smt.OpEQ, 0))
+		m.solver.Assert(smt.AtomFloat(sum, smt.OpEQ, 0))
 	}
 }
 
@@ -236,42 +234,38 @@ func (m *Model) assertConsumptionDeltas() {
 // measurement's value must change) and Eq. 20 (alteration requires access
 // and no integrity protection).
 func (m *Model) assertMeasurementAlteration() {
-	s, b := m.solver, m.b
-	assertFor := func(meas int, delta *expr.Node) {
-		aF := b.BoolVar(m.a[meas])
+	s := m.solver
+	assertFor := func(meas, delta int) {
+		aF := smt.Bool(m.a[meas])
 		if !m.plan.Taken[meas] {
-			b.Assert(s, b.Not(aF))
+			s.Assert(smt.Not(aF))
 			return
 		}
-		// The forward and backward flow measurements of a line share the same
-		// delta atom; hash-consing makes the second Iff the identical node, so
-		// it lowers (and Tseitins) to the already-emitted clauses.
-		b.Assert(s, b.Iff(aF, b.CmpInt(delta, smt.OpNE, 0)))
+		s.Assert(smt.Iff(aF, varCmp(delta, smt.OpNE, 0)))
 		// Eq. 20: a_i -> r_i & !s_i.
 		if !m.plan.Accessible[meas] || m.plan.Secured[meas] {
-			b.Assert(s, b.Not(aF))
+			s.Assert(smt.Not(aF))
 		}
 	}
 	for i := 1; i <= m.g.NumLines(); i++ {
-		assertFor(m.plan.ForwardIndex(i), b.RealVar(m.dTot[i]))
-		assertFor(m.plan.BackwardIndex(i), b.RealVar(m.dTot[i]))
+		assertFor(m.plan.ForwardIndex(i), m.dTot[i])
+		assertFor(m.plan.BackwardIndex(i), m.dTot[i])
 	}
 	for j := 1; j <= m.g.NumBuses(); j++ {
-		assertFor(m.plan.ConsumptionIndex(j), b.RealVar(m.dCons[j]))
+		assertFor(m.plan.ConsumptionIndex(j), m.dCons[j])
 	}
 }
 
 // assertKnowledgeRule encodes Eq. 19: changing a line's flow measurements
 // requires knowing its admittance.
 func (m *Model) assertKnowledgeRule() {
-	s, b := m.solver, m.b
 	for _, ln := range m.g.Lines {
 		i := ln.ID
 		if ln.AdmittanceKnown {
 			continue
 		}
 		if m.plan.Taken[m.plan.ForwardIndex(i)] || m.plan.Taken[m.plan.BackwardIndex(i)] {
-			b.Assert(s, b.CmpInt(b.RealVar(m.dTot[i]), smt.OpEQ, 0))
+			m.solver.Assert(varCmp(m.dTot[i], smt.OpEQ, 0))
 		}
 	}
 }
@@ -279,11 +273,11 @@ func (m *Model) assertKnowledgeRule() {
 // assertResourceLimits encodes Eq. 21 (altered measurements pin their
 // substation) and Eq. 22 plus the measurement budget.
 func (m *Model) assertResourceLimits() {
-	s, b := m.solver, m.b
+	s := m.solver
 	for i := 1; i <= m.plan.M(); i++ {
 		bus := m.plan.BusOf(i, m.g)
 		if bus >= 1 {
-			b.Assert(s, b.Implies(b.BoolVar(m.a[i]), b.BoolVar(m.h[bus])))
+			s.Assert(smt.Implies(smt.Bool(m.a[i]), smt.Bool(m.h[bus])))
 		}
 	}
 	if m.cap.MaxMeasurements > 0 {
@@ -307,17 +301,17 @@ func (m *Model) assertResourceLimits() {
 // load cannot acquire one (generation measurements are secure, paper
 // Sec. II-F).
 func (m *Model) assertLoadPlausibility() {
-	s, b := m.solver, m.b
+	s := m.solver
 	for j := 1; j <= m.g.NumBuses(); j++ {
-		dc := b.RealVar(m.dCons[j])
+		dc := m.dCons[j]
 		ld, hasLoad := m.g.LoadAt(j)
 		if !hasLoad {
-			b.Assert(s, b.CmpInt(dc, smt.OpEQ, 0))
+			s.Assert(varCmp(dc, smt.OpEQ, 0))
 			continue
 		}
 		// observed = existing + dCons in [MinP, MaxP].
-		b.Assert(s, b.CmpFloat(dc, smt.OpGE, ld.MinP-ld.P))
-		b.Assert(s, b.CmpFloat(dc, smt.OpLE, ld.MaxP-ld.P))
+		s.Assert(varCmp(dc, smt.OpGE, ld.MinP-ld.P))
+		s.Assert(varCmp(dc, smt.OpLE, ld.MaxP-ld.P))
 	}
 }
 
@@ -404,12 +398,11 @@ func (m *Model) Block(v *Vector, precision float64) {
 		precision = 0.01
 	}
 	half := precision / 2
-	b := m.b
-	var alts []*expr.Node
-	lit := func(handle int, val bool) *expr.Node {
-		bv := b.BoolVar(handle)
+	var alts []*smt.Formula
+	lit := func(handle int, val bool) *smt.Formula {
+		bv := smt.Bool(handle)
 		if val {
-			return b.Not(bv) // differ by flipping this choice
+			return smt.Not(bv) // differ by flipping this choice
 		}
 		return bv
 	}
@@ -428,17 +421,17 @@ func (m *Model) Block(v *Vector, precision float64) {
 		if _, hasLoad := m.g.LoadAt(j); !hasLoad {
 			continue
 		}
-		dc := b.RealVar(m.dCons[j])
+		dc := m.dCons[j]
 		val := v.DeltaConsumption[j-1]
 		if math.Abs(val) < half && val != 0 {
 			val = 0
 		}
 		alts = append(alts,
-			b.CmpFloat(dc, smt.OpLT, val-half),
-			b.CmpFloat(dc, smt.OpGT, val+half),
+			varCmp(dc, smt.OpLT, val-half),
+			varCmp(dc, smt.OpGT, val+half),
 		)
 	}
-	b.Assert(m.solver, b.Or(alts...))
+	m.solver.Assert(smt.Or(alts...))
 }
 
 func intSet(xs []int) map[int]bool {

@@ -11,7 +11,7 @@ import (
 // Layer names accepted by Config.Layers.
 const (
 	LayerSMT    = "smt"
-	LayerExpr   = "expr"
+	LayerLadder = "ladder"
 	LayerOPF    = "opf"
 	LayerWLS    = "wls"
 	LayerDist   = "dist"
@@ -22,7 +22,7 @@ const (
 
 // AllLayers returns every layer name in execution order.
 func AllLayers() []string {
-	return []string{LayerSMT, LayerExpr, LayerOPF, LayerWLS, LayerDist, LayerSparse, LayerMeta, LayerCore}
+	return []string{LayerSMT, LayerLadder, LayerOPF, LayerWLS, LayerDist, LayerSparse, LayerMeta, LayerCore}
 }
 
 // Config parameterizes one harness run.
@@ -159,15 +159,8 @@ func Run(cfg Config) (*Summary, error) {
 				fmt.Fprintf(out, "FAIL [smt] seed=%d: %s\n", cs, detail)
 			}
 		}
-		if layerOn[LayerExpr] {
-			sum.ChecksRun++
-			if detail := checkExpr(rng); detail != "" {
-				sum.Discrepancies = append(sum.Discrepancies, Discrepancy{Layer: LayerExpr, CaseSeed: cs, Detail: detail})
-				fmt.Fprintf(out, "FAIL [expr] seed=%d: %s\n", cs, detail)
-			}
-		}
 
-		needGrid := layerOn[LayerOPF] || layerOn[LayerWLS] || layerOn[LayerDist] || layerOn[LayerSparse] || layerOn[LayerMeta] || layerOn[LayerCore] || layerOn[LayerExpr]
+		needGrid := layerOn[LayerOPF] || layerOn[LayerWLS] || layerOn[LayerDist] || layerOn[LayerSparse] || layerOn[LayerMeta] || layerOn[LayerCore] || layerOn[LayerLadder]
 		if !needGrid {
 			sum.Cases++
 			continue
@@ -232,8 +225,8 @@ func Run(cfg Config) (*Summary, error) {
 		// core property it is rationed to the
 		// smaller systems (offset from the core cases in short mode so both
 		// properties still run).
-		if layerOn[LayerExpr] && sys.Grid.NumBuses() <= 6 && (!cfg.Short || i%4 == 2) {
-			if err := runCheck("expr/ladder", checkLadderAB); err != nil {
+		if layerOn[LayerLadder] && sys.Grid.NumBuses() <= 6 && (!cfg.Short || i%4 == 2) {
+			if err := runCheck(LayerLadder, checkLadderAB); err != nil {
 				return nil, err
 			}
 		}

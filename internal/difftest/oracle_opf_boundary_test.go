@@ -35,8 +35,8 @@ func boundarySystem() *System {
 // one-ULP-over system infeasible while the float64 LP rightly (within its
 // tolerance) solves it; the comparison must recognize the verdict flips
 // within opfBoundaryBand and charge no discrepancy. Regression for a real
-// sweep failure (seed above) surfaced when the expr layer shifted the
-// generator's RNG stream.
+// sweep failure (seed above) surfaced when a newly added layer's draws
+// shifted the generator's RNG stream.
 func TestOPFBoundaryDegenerateNotCharged(t *testing.T) {
 	sys := boundarySystem()
 	topo := sys.Grid.TrueTopology()

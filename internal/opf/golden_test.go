@@ -350,11 +350,11 @@ func randomLP(rng *rand.Rand) *lp.Problem {
 	return p
 }
 
-// readGolden returns the recorded digests by entry name, or nil when the
-// golden file does not exist.
-func readGolden(t *testing.T) map[string]string {
+// readGoldenFile returns the digests recorded in file by entry name, or nil
+// when the file does not exist.
+func readGoldenFile(t *testing.T, file string) map[string]string {
 	t.Helper()
-	data, err := os.ReadFile(goldenFile)
+	data, err := os.ReadFile(file)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
@@ -365,7 +365,7 @@ func readGolden(t *testing.T) map[string]string {
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 		name, digest, ok := strings.Cut(line, " ")
 		if !ok {
-			t.Fatalf("%s: malformed line %q", goldenFile, line)
+			t.Fatalf("%s: malformed line %q", file, line)
 		}
 		want[name] = digest
 	}
@@ -385,7 +385,7 @@ func TestLPGoldenDigests(t *testing.T) {
 		t.Skipf("digests recorded on amd64; %s fuses multiply-adds", runtime.GOARCH)
 	}
 	got := goldenCorpus(t)
-	want := readGolden(t)
+	want := readGoldenFile(t, goldenFile)
 	if want == nil {
 		var b strings.Builder
 		for _, e := range got {

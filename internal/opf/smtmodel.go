@@ -1,12 +1,10 @@
 package opf
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
 	"time"
 
-	"gridattack/internal/expr"
 	"gridattack/internal/grid"
 	"gridattack/internal/smt"
 )
@@ -34,10 +32,7 @@ func Encode(s *smt.Solver, g *grid.Grid, t grid.Topology, loads []float64, costC
 // EncodeBase asserts the cap-independent OPF constraints (Eqs. 30-34):
 // generator limits, flow definitions and capacities, and nodal balance. The
 // cost cap (Eq. 35) is left to the caller, so one encoded model can serve a
-// sequence of progressively tighter cost queries on the same solver. The
-// encoding is built as a hash-consed expression DAG and lowered through its
-// builder's node->Formula cache, so a subexpression shared by several
-// constraints is translated once.
+// sequence of progressively tighter cost queries on the same solver.
 func EncodeBase(s *smt.Solver, g *grid.Grid, t grid.Topology, loads []float64) (*Vars, error) {
 	if len(g.Generators) == 0 {
 		return nil, ErrNoGenerators
@@ -48,7 +43,6 @@ func EncodeBase(s *smt.Solver, g *grid.Grid, t grid.Topology, loads []float64) (
 	if len(loads) != g.NumBuses() {
 		return nil, fmt.Errorf("opf: load vector length %d, want %d", len(loads), g.NumBuses())
 	}
-	b := expr.NewBuilder()
 	v := &Vars{
 		Theta: make([]int, g.NumBuses()),
 		Gen:   make([]int, len(g.Generators)),
@@ -58,14 +52,13 @@ func EncodeBase(s *smt.Solver, g *grid.Grid, t grid.Topology, loads []float64) (
 		v.Theta[bus.ID-1] = s.NewReal(fmt.Sprintf("theta%d", bus.ID))
 	}
 	// Reference angle pinned to zero.
-	b.Assert(s, b.CmpInt(b.RealVar(v.Theta[g.RefBus-1]), smt.OpEQ, 0))
+	s.Assert(varCmp(v.Theta[g.RefBus-1], smt.OpEQ, 0))
 
 	// Generator bounds (Eq. 31).
 	for i, gen := range g.Generators {
 		v.Gen[i] = s.NewReal(fmt.Sprintf("pg%d", gen.Bus))
-		pg := b.RealVar(v.Gen[i])
-		b.Assert(s, b.CmpFloat(pg, smt.OpGE, gen.MinP))
-		b.Assert(s, b.CmpFloat(pg, smt.OpLE, gen.MaxP))
+		s.Assert(varCmp(v.Gen[i], smt.OpGE, gen.MinP))
+		s.Assert(varCmp(v.Gen[i], smt.OpLE, gen.MaxP))
 	}
 
 	// Flow definitions and capacities (Eqs. 32, 34); unmapped lines carry no
@@ -73,39 +66,40 @@ func EncodeBase(s *smt.Solver, g *grid.Grid, t grid.Topology, loads []float64) (
 	for _, ln := range g.Lines {
 		fv := s.NewReal(fmt.Sprintf("f%d", ln.ID))
 		v.Flow[ln.ID-1] = fv
-		fx := b.RealVar(fv)
 		if !t.Contains(ln.ID) {
-			b.Assert(s, b.CmpInt(fx, smt.OpEQ, 0))
+			s.Assert(varCmp(fv, smt.OpEQ, 0))
 			continue
 		}
-		def := b.Sum(fx,
-			b.ScaleFloat(-ln.Admittance, b.RealVar(v.Theta[ln.From-1])),
-			b.ScaleFloat(ln.Admittance, b.RealVar(v.Theta[ln.To-1])))
-		b.Assert(s, b.CmpInt(def, smt.OpEQ, 0))
-		b.Assert(s, b.CmpFloat(fx, smt.OpLE, ln.Capacity))
-		b.Assert(s, b.CmpFloat(fx, smt.OpGE, -ln.Capacity))
+		def := smt.NewLinExpr().AddInt(1, fv).
+			AddFloat(-ln.Admittance, v.Theta[ln.From-1]).
+			AddFloat(ln.Admittance, v.Theta[ln.To-1])
+		s.Assert(smt.AtomFloat(def, smt.OpEQ, 0))
+		s.Assert(varCmp(fv, smt.OpLE, ln.Capacity))
+		s.Assert(varCmp(fv, smt.OpGE, -ln.Capacity))
 	}
 
 	// Nodal balance (Eq. 33): consumption = incoming - outgoing = load - gen.
+	// A bus with no mapped line and no generator sums nothing: smt.Atom folds
+	// its row to a constant.
 	for _, bus := range g.Buses {
-		parts := make([]*expr.Node, 0, 8)
+		sum := smt.NewLinExpr()
 		for _, ln := range g.Lines {
 			if !t.Contains(ln.ID) {
 				continue
 			}
 			if ln.To == bus.ID {
-				parts = append(parts, b.RealVar(v.Flow[ln.ID-1]))
+				sum.AddInt(1, v.Flow[ln.ID-1])
 			}
 			if ln.From == bus.ID {
-				parts = append(parts, b.Neg(b.RealVar(v.Flow[ln.ID-1])))
+				sum.AddInt(-1, v.Flow[ln.ID-1])
 			}
 		}
 		for i, gen := range g.Generators {
 			if gen.Bus == bus.ID {
-				parts = append(parts, b.RealVar(v.Gen[i]))
+				sum.AddInt(1, v.Gen[i])
 			}
 		}
-		b.Assert(s, b.CmpFloat(b.Sum(parts...), smt.OpEQ, loads[bus.ID-1]))
+		s.Assert(smt.AtomFloat(sum, smt.OpEQ, loads[bus.ID-1]))
 	}
 
 	// Total balance (Eq. 30) — implied by the nodal rows, asserted for
@@ -113,16 +107,21 @@ func EncodeBase(s *smt.Solver, g *grid.Grid, t grid.Topology, loads []float64) (
 	// exact rational sum of the per-bus load rationals: a float64 sum
 	// differs from it by rounding, which would make this redundant row
 	// inconsistent under exact arithmetic.
-	parts := make([]*expr.Node, len(g.Generators))
+	gens := smt.NewLinExpr()
 	for i := range g.Generators {
-		parts[i] = b.RealVar(v.Gen[i])
+		gens.AddInt(1, v.Gen[i])
 	}
 	total := new(big.Rat)
 	for _, l := range loads {
 		total.Add(total, smt.RatFromFloat(l))
 	}
-	b.Assert(s, b.CmpRat(b.Sum(parts...), smt.OpEQ, total))
+	s.Assert(smt.Atom(gens, smt.OpEQ, total))
 	return v, nil
+}
+
+// varCmp returns the atom x op c over one real variable x.
+func varCmp(x int, op smt.Op, c float64) *smt.Formula {
+	return smt.AtomFloat(smt.NewLinExpr().AddInt(1, x), op, c)
 }
 
 // assertCostCap asserts the cost cap (Eq. 35):
@@ -169,15 +168,4 @@ func FeasibleWithinTimeout(g *grid.Grid, t grid.Topology, loads []float64, costC
 		dispatch[gen.Bus-1] += s.RealValueFloat(vars.Gen[i])
 	}
 	return true, dispatch, nil
-}
-
-// MinCostIncreaseCertified verifies (paper Eq. 37) that no dispatch under
-// topology t with the given loads costs less than threshold: it runs the
-// feasibility model and returns true when the model is unsat.
-func MinCostIncreaseCertified(g *grid.Grid, t grid.Topology, loads []float64, threshold float64, maxConflicts int64) (bool, error) {
-	ok, _, err := FeasibleWithin(g, t, loads, threshold, maxConflicts)
-	if err != nil && !errors.Is(err, ErrNoGenerators) {
-		return false, err
-	}
-	return !ok, err
 }

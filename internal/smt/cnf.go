@@ -231,28 +231,9 @@ func (s *Solver) tseitinLit(f *Formula) literal {
 }
 
 // atomLit interns an arithmetic atom and returns its representing literal.
-// Equalities expand to conjunctions/disjunctions of inequalities here.
+// Equalities expand to conjunctions/disjunctions of inequalities here. Atom
+// folds variable-free comparisons, so a.terms is never empty.
 func (s *Solver) atomLit(a *atomData) literal {
-	if len(a.terms) == 0 {
-		// Constant comparison: 0 op rhs.
-		zero := new(big.Rat)
-		holds := false
-		switch a.op {
-		case OpLT:
-			holds = zero.Cmp(a.rhs) < 0
-		case OpLE:
-			holds = zero.Cmp(a.rhs) <= 0
-		case OpEQ:
-			holds = zero.Cmp(a.rhs) == 0
-		case OpGE:
-			holds = zero.Cmp(a.rhs) >= 0
-		case OpGT:
-			holds = zero.Cmp(a.rhs) > 0
-		case OpNE:
-			holds = zero.Cmp(a.rhs) != 0
-		}
-		return mkLit(s.trueVar, !holds)
-	}
 	switch a.op {
 	case OpEQ:
 		le := s.inequalityLit(a.terms, OpLE, a.rhs)

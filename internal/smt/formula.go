@@ -178,13 +178,48 @@ var (
 // Bool returns the formula consisting of the single boolean variable v.
 func Bool(v int) *Formula { return &Formula{kind: fBoolVar, boolVar: v} }
 
-// Atom returns the arithmetic atom expr op rhs.
+// Atom returns the arithmetic atom expr op rhs. A comparison with no
+// variable left once expr's terms are merged folds to True or False. An
+// equality or disequality is stored with a positive leading coefficient
+// (terms and rhs negated otherwise), so x - y = c and y - x = -c intern the
+// same two bounds in the same order.
 func Atom(expr *LinExpr, op Op, rhs *big.Rat) *Formula {
-	return &Formula{kind: fAtom, atom: &atomData{
-		terms: expr.normalize(),
-		op:    op,
-		rhs:   new(big.Rat).Set(rhs),
-	}}
+	terms := expr.normalize()
+	if len(terms) == 0 {
+		if op.holds(new(big.Rat).Cmp(rhs)) {
+			return True
+		}
+		return False
+	}
+	r := new(big.Rat).Set(rhs)
+	if (op == OpEQ || op == OpNE) && terms[0].Coeff.Sign() < 0 {
+		for _, t := range terms {
+			t.Coeff.Neg(t.Coeff)
+		}
+		r.Neg(r)
+	}
+	return &Formula{kind: fAtom, atom: &atomData{terms: terms, op: op, rhs: r}}
+}
+
+// holds reports whether a comparison whose sides compare as c (-1, 0 or +1,
+// as big.Rat.Cmp returns) satisfies o.
+func (o Op) holds(c int) bool {
+	switch o {
+	case OpLT:
+		return c < 0
+	case OpLE:
+		return c <= 0
+	case OpEQ:
+		return c == 0
+	case OpGE:
+		return c >= 0
+	case OpGT:
+		return c > 0
+	case OpNE:
+		return c != 0
+	default:
+		panic(fmt.Sprintf("smt: unknown operator %d", int(o)))
+	}
 }
 
 // AtomFloat is Atom with a float64 right-hand side (converted via
@@ -283,9 +318,6 @@ func (f *Formula) String() string {
 				b.WriteString(" + ")
 			}
 			fmt.Fprintf(&b, "%s*x%d", t.Coeff.RatString(), t.Var)
-		}
-		if len(f.atom.terms) == 0 {
-			b.WriteString("0")
 		}
 		fmt.Fprintf(&b, " %s %s", f.atom.op, f.atom.rhs.RatString())
 		return b.String()
