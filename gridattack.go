@@ -108,7 +108,10 @@ func NewTopologyProcessor(g *Grid) *TopologyProcessor { return topo.NewProcessor
 
 // State estimation.
 type (
-	// Estimator is the WLS DC state estimator with bad-data detection.
+	// Estimator is the WLS DC state estimator with bad-data detection. It
+	// reuses the gain factorization of its last successful solve while the
+	// measurement rows and weights are unchanged, and is not safe for
+	// concurrent use.
 	Estimator = se.Estimator
 	// EstimateResult is one estimation outcome.
 	EstimateResult = se.Result
@@ -274,7 +277,8 @@ type (
 
 // EMS pipeline.
 type (
-	// EMSPipeline is the operator-side telemetry-to-dispatch pipeline.
+	// EMSPipeline is the operator-side telemetry-to-dispatch pipeline. It
+	// keeps one Estimator across cycles and is not safe for concurrent use.
 	EMSPipeline = ems.Pipeline
 	// EMSCycleResult is one cycle's outcome.
 	EMSCycleResult = ems.CycleResult

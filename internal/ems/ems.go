@@ -20,7 +20,8 @@ import (
 // operator would discard the telemetry and keep the previous dispatch.
 var ErrBadData = errors.New("ems: bad data detected, cycle aborted")
 
-// Pipeline is one EMS instance.
+// Pipeline is one EMS instance. It keeps one state estimator across
+// cycles and, like it, is not safe for concurrent use.
 type Pipeline struct {
 	Grid *grid.Grid
 	Plan *measure.Plan
@@ -32,6 +33,22 @@ type Pipeline struct {
 	// re-solving, so a quiet continuous-operation cycle stays cheap without
 	// giving up bit-reproducibility.
 	Memo *OPFMemo
+
+	// est is the state estimator of estGrid and estPlan, kept across
+	// cycles so that it can reuse its gain factorization.
+	est     *se.Estimator
+	estGrid *grid.Grid
+	estPlan *measure.Plan
+}
+
+// estimator returns the pipeline's state estimator, rebuilt when Grid or
+// Plan is no longer the one it was built for, with the current threshold.
+func (p *Pipeline) estimator() *se.Estimator {
+	if p.est == nil || p.estGrid != p.Grid || p.estPlan != p.Plan {
+		p.est, p.estGrid, p.estPlan = se.NewEstimator(p.Grid, p.Plan), p.Grid, p.Plan
+	}
+	p.est.Threshold = p.ResidualThreshold
+	return p.est
 }
 
 // solveOPF dispatches through the memo when configured.
@@ -86,9 +103,7 @@ func (p *Pipeline) RunCycle(z *measure.Vector, report *topo.Report, currentDispa
 	if err != nil {
 		return nil, fmt.Errorf("ems: topology processing: %w", err)
 	}
-	est := se.NewEstimator(p.Grid, p.Plan)
-	est.Threshold = p.ResidualThreshold
-	res, err := est.Estimate(mapped, z)
+	res, err := p.estimator().Estimate(mapped, z)
 	if err != nil {
 		return nil, fmt.Errorf("ems: state estimation: %w", err)
 	}
@@ -138,9 +153,7 @@ func (p *Pipeline) RunCycleResilient(z *measure.Vector, report *topo.Report, cur
 	if err != nil {
 		return nil, fmt.Errorf("ems: topology processing: %w", err)
 	}
-	est := se.NewEstimator(p.Grid, p.Plan)
-	est.Threshold = p.ResidualThreshold
-	res, err := est.EstimatePartial(mapped, z, lastGood)
+	res, err := p.estimator().EstimatePartial(mapped, z, lastGood)
 	if err != nil {
 		return nil, fmt.Errorf("ems: state estimation: %w", err)
 	}

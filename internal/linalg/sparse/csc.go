@@ -55,82 +55,106 @@ func (b *Builder) Add(i, j int, v float64) {
 	b.entries = append(b.entries, entry{row: i, col: j, val: v})
 }
 
-// compress sorts the entries column-major, sums duplicates, and drops
-// entries whose sum is exactly zero. The sort is stable so duplicates are
-// summed in insertion order, making the result bit-identical to an
-// accumulate-in-place dense assembly over the same Add sequence.
-func (b *Builder) compress() []entry {
+// compress sums duplicate entries and drops entries whose sum is exactly
+// zero, returning the survivors grouped by their major index (the column
+// when byCol, else the row) in increasing minor-index order: ptr[k] is the
+// start of major index k in idx (minor indices) and vals.
+//
+// It runs two stable counting sorts in linear time. The first buckets the
+// entries by minor index into one copy, keeping insertion order within a
+// bucket, and sums each duplicate into its first occurrence there; the
+// second scatters the survivors by major index, visiting minor indices in
+// increasing order. Duplicates are thus summed in insertion order, making
+// the result bit-identical to an accumulate-in-place dense assembly over
+// the same Add sequence.
+func (b *Builder) compress(byCol bool) (ptr, idx []int, vals []float64) {
+	nMajor, nMinor := b.rows, b.cols
+	if byCol {
+		nMajor, nMinor = b.cols, b.rows
+	}
+
+	// Bucket by minor index into es, keyed (major, minor) in its (row, col)
+	// fields: after the scatter, bucket m is es[end[m-1]:end[m]] (end[-1]
+	// = 0).
+	end := make([]int, nMinor+1)
+	for _, e := range b.entries {
+		end[e.keyed(byCol).col+1]++
+	}
+	for m := 0; m < nMinor; m++ {
+		end[m+1] += end[m]
+	}
 	es := make([]entry, len(b.entries))
-	copy(es, b.entries)
-	sort.SliceStable(es, func(x, y int) bool {
-		if es[x].col != es[y].col {
-			return es[x].col < es[y].col
-		}
-		return es[x].row < es[y].row
-	})
-	out := es[:0]
-	for _, e := range es {
-		if n := len(out); n > 0 && out[n-1].row == e.row && out[n-1].col == e.col {
-			out[n-1].val += e.val
-			continue
-		}
-		out = append(out, e)
+	for _, e := range b.entries {
+		e = e.keyed(byCol)
+		es[end[e.col]] = e
+		end[e.col]++
 	}
-	kept := out[:0]
-	for _, e := range out {
+
+	// Sum duplicates into their first occurrence, compacting in place;
+	// first[j] is the compacted position of major index j's entry in the
+	// current bucket, or below its start when it has none yet.
+	first := make([]int, nMajor)
+	for j := range first {
+		first[j] = -1
+	}
+	ptr = make([]int, nMajor+1)
+	kept, lo := 0, 0
+	for m := 0; m < nMinor; m++ {
+		start := kept
+		for _, e := range es[lo:end[m]] {
+			if f := first[e.row]; f >= start {
+				es[f].val += e.val
+				continue
+			}
+			first[e.row] = kept
+			es[kept] = e
+			kept++
+		}
+		lo = end[m]
+		for _, e := range es[start:kept] {
+			if e.val != 0 {
+				ptr[e.row+1]++
+			}
+		}
+	}
+	for j := 0; j < nMajor; j++ {
+		ptr[j+1] += ptr[j]
+	}
+
+	// Scatter the nonzero survivors by major index; first becomes each
+	// major index's write cursor.
+	copy(first, ptr)
+	idx = make([]int, ptr[nMajor])
+	vals = make([]float64, ptr[nMajor])
+	for _, e := range es[:kept] {
 		if e.val != 0 {
-			kept = append(kept, e)
+			idx[first[e.row]] = e.col
+			vals[first[e.row]] = e.val
+			first[e.row]++
 		}
 	}
-	return kept
+	return ptr, idx, vals
+}
+
+// keyed returns e with its (major, minor) indices in (row, col): swapped
+// for a column-major layout.
+func (e entry) keyed(byCol bool) entry {
+	if byCol {
+		e.row, e.col = e.col, e.row
+	}
+	return e
 }
 
 // ToCSC compresses the accumulated entries into CSC form.
 func (b *Builder) ToCSC() *CSC {
-	es := b.compress()
-	m := &CSC{
-		rows:   b.rows,
-		cols:   b.cols,
-		colPtr: make([]int, b.cols+1),
-		rowIdx: make([]int, len(es)),
-		values: make([]float64, len(es)),
-	}
-	for k, e := range es {
-		m.colPtr[e.col+1]++
-		m.rowIdx[k] = e.row
-		m.values[k] = e.val
-	}
-	for j := 0; j < b.cols; j++ {
-		m.colPtr[j+1] += m.colPtr[j]
-	}
-	return m
+	colPtr, rowIdx, values := b.compress(true)
+	return &CSC{rows: b.rows, cols: b.cols, colPtr: colPtr, rowIdx: rowIdx, values: values}
 }
 
 // ToCSR compresses the accumulated entries into CSR form.
 func (b *Builder) ToCSR() *CSR {
-	es := b.compress()
-	sort.SliceStable(es, func(x, y int) bool {
-		if es[x].row != es[y].row {
-			return es[x].row < es[y].row
-		}
-		return es[x].col < es[y].col
-	})
-	m := &CSR{
-		rows:   b.rows,
-		cols:   b.cols,
-		rowPtr: make([]int, b.rows+1),
-		colIdx: make([]int, len(es)),
-		values: make([]float64, len(es)),
-	}
-	for k, e := range es {
-		m.rowPtr[e.row+1]++
-		m.colIdx[k] = e.col
-		m.values[k] = e.val
-	}
-	for i := 0; i < b.rows; i++ {
-		m.rowPtr[i+1] += m.rowPtr[i]
-	}
-	return m
+	rowPtr, colIdx, values := b.compress(false)
+	return &CSR{rows: b.rows, cols: b.cols, rowPtr: rowPtr, colIdx: colIdx, values: values}
 }
 
 // CSC is a matrix in compressed sparse column form: column j's entries are

@@ -10,7 +10,8 @@ import (
 // FuzzCSC decodes arbitrary bytes into a small coordinate-form matrix
 // (duplicates, empty rows/columns, and singular patterns all arise
 // naturally), builds CSC/CSR, and cross-checks construction, MulVec, and LU
-// solves against the dense oracle.
+// solves against the dense oracle, and the compression against the
+// stable-sort reference.
 func FuzzCSC(f *testing.F) {
 	// Seed corpus: identity, duplicate entries, empty row/col, singular B,
 	// negative off-diagonals like a susceptance matrix.
@@ -34,14 +35,21 @@ func FuzzCSC(f *testing.F) {
 		data = data[1:]
 		b := NewBuilder(n, n)
 		d := linalg.NewMatrix(n, n)
+		// nd stamps the same pattern with non-dyadic values, whose sums
+		// depend on summation order (byte 128 stamps -0), for the
+		// comparison with the stable-sort reference compression.
+		nd := NewBuilder(n, n)
 		for len(data) >= 3 {
 			i := int(data[0]) % n
 			j := int(data[1]) % n
 			v := (float64(data[2]) - 128) / 16
 			b.Add(i, j, v)
 			d.Set(i, j, d.At(i, j)+v)
+			nd.Add(i, j, -(float64(data[2])-128)/10)
 			data = data[3:]
 		}
+		checkMatchesReference(t, b)
+		checkMatchesReference(t, nd)
 		csc := b.ToCSC()
 		csr := b.ToCSR()
 

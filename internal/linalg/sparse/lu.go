@@ -222,11 +222,23 @@ func (f *LU) NNZFactors() (nnzL, nnzU int) { return f.l.NNZ(), f.u.NNZ() }
 
 // Solve solves A x = b. The input is not modified.
 func (f *LU) Solve(b []float64) ([]float64, error) {
-	if len(b) != f.n {
-		return nil, fmt.Errorf("%w: solve with rhs length %d, n=%d", ErrDimension, len(b), f.n)
+	x := make([]float64, f.n)
+	if err := f.SolveInto(x, make([]float64, f.n), b); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveInto solves A x = b into x, using work as scratch, and allocates
+// nothing. b is not modified and may alias x; work must alias neither.
+// All three have length Order().
+func (f *LU) SolveInto(x, work, b []float64) error {
+	if len(b) != f.n || len(x) != f.n || len(work) != f.n {
+		return fmt.Errorf("%w: solve with rhs length %d, x length %d, work length %d, n=%d",
+			ErrDimension, len(b), len(x), len(work), f.n)
 	}
 	// y = L^-1 P b, in pivotal row coordinates.
-	y := make([]float64, f.n)
+	y := work
 	for i, bi := range b {
 		y[f.pinv[i]] = bi
 	}
@@ -254,9 +266,8 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		}
 	}
 	// Undo the column permutation: x[q[k]] = y[k].
-	x := make([]float64, f.n)
 	for k := 0; k < f.n; k++ {
 		x[f.q[k]] = y[k]
 	}
-	return x, nil
+	return nil
 }

@@ -288,6 +288,45 @@ func TestFactorizationInterface(t *testing.T) {
 	}
 }
 
+// TestSolveIntoMatchesSolve: the buffered solve returns Solve's bits,
+// also solving in place (x aliasing b), and allocates nothing.
+func TestSolveIntoMatchesSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	f, err := Factorize(randSPD(40, rng).ToCSC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, 40)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	want, err := f.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, work := make([]float64, 40), make([]float64, 40)
+	inPlace := append([]float64(nil), b...)
+	for name, run := range map[string]func() error{
+		"separate": func() error { return f.SolveInto(x, work, b) },
+		"in place": func() error { copy(x, inPlace); return f.SolveInto(x, work, x) },
+	} {
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range want {
+			if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: x[%d] = %v, Solve gave %v", name, i, x[i], want[i])
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = run() }); allocs != 0 {
+			t.Errorf("%s: SolveInto allocates %v times per call, want 0", name, allocs)
+		}
+	}
+	if err := f.SolveInto(x, work[:39], b); !errors.Is(err, ErrDimension) {
+		t.Fatalf("short work buffer: err = %v, want ErrDimension", err)
+	}
+}
+
 func TestSolveDimensionMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	f, err := Factorize(randSPD(5, rng).ToCSC())

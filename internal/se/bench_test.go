@@ -9,7 +9,10 @@ import (
 
 // BenchmarkEstimatePartial times the estimate of one fleet cycle on
 // synth118: complete telemetry (a clean cycle), and the telemetry of one
-// bus's RTU missing (a degraded cycle, solved from the survivors).
+// bus's RTU missing (a degraded cycle, solved from the survivors). Both
+// repeat on one Estimator, so, as in a fleet's repeated cycles, every call
+// after the first reuses its gain factorization; complete-fresh builds a
+// fresh Estimator per call and times a miss.
 func BenchmarkEstimatePartial(b *testing.B) {
 	c, err := cases.ByName("synth118")
 	if err != nil {
@@ -33,13 +36,18 @@ func BenchmarkEstimatePartial(b *testing.B) {
 		b.Fatalf("RTU-down telemetry is not a survivors estimate: %+v, %v", res, err)
 	}
 	for _, tc := range []struct {
-		name string
-		z    *measure.Vector
-	}{{"complete", z}, {"rtu-missing", rtuDown}} {
+		name  string
+		z     *measure.Vector
+		fresh bool
+	}{{"complete", z, false}, {"rtu-missing", rtuDown, false}, {"complete-fresh", z, true}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := est.EstimatePartial(topo, tc.z, nil); err != nil {
+				e := est
+				if tc.fresh {
+					e = NewEstimator(g, plan)
+				}
+				if _, err := e.EstimatePartial(topo, tc.z, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

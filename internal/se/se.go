@@ -28,9 +28,20 @@ import (
 var ErrUnobservable = errors.New("se: system unobservable with the taken measurements")
 
 // Estimator performs WLS state estimation for one grid and measurement plan.
+//
+// An Estimator keeps the factorized gain matrix of its last successful
+// solve, with the residual variances it implies, and reuses both when the
+// next solve's measurement rows (column indices and value bits), weight
+// bits and state count are all the same. Those are the only inputs of the
+// factorization, so a reuse returns exactly what recomputing would, and a
+// changed plan, weight, topology or grid simply misses. An Estimator is
+// not safe for concurrent use.
 type Estimator struct {
 	grid *grid.Grid
 	plan *measure.Plan
+
+	// gain is the factorization of the last successful solve.
+	gain *gain
 
 	// Weights holds per-measurement weights (reciprocal error variances),
 	// indexed by 1-based measurement number; entries <= 0 default to 1.
@@ -102,15 +113,24 @@ type measRow struct {
 }
 
 // measRows extracts the plan's taken rows of the sparse reduced measurement
-// matrix under topology t, with their 1-based measurement numbers.
+// matrix under topology t, with their 1-based measurement numbers. The
+// rows share one backing array of columns and one of values.
 func (e *Estimator) measRows(t grid.Topology) ([]measRow, []int, error) {
 	hr, err := e.grid.ReducedMeasurementSparse(t)
 	if err != nil {
 		return nil, nil, err
 	}
 	l := e.grid.NumLines()
-	var rows []measRow
-	var idx []int
+	nnz, taken := 0, 0
+	for i := 1; i <= e.plan.M(); i++ {
+		if e.plan.Taken[i] {
+			nnz += hr.RowNNZ(i - 1)
+			taken++
+		}
+	}
+	cols, vals := make([]int, 0, nnz), make([]float64, 0, nnz)
+	rows := make([]measRow, 0, taken)
+	idx := make([]int, 0, taken)
 	for i := 1; i <= e.plan.M(); i++ {
 		if !e.plan.Taken[i] {
 			continue
@@ -119,15 +139,13 @@ func (e *Estimator) measRows(t grid.Topology) ([]measRow, []int, error) {
 		if i > 2*l { // consumption rows: flip sign (see measRow)
 			sign = -1
 		}
-		r := measRow{
-			cols: make([]int, 0, hr.RowNNZ(i-1)),
-			vals: make([]float64, 0, hr.RowNNZ(i-1)),
-		}
+		start := len(cols)
 		hr.Row(i-1, func(j int, v float64) {
-			r.cols = append(r.cols, j)
-			r.vals = append(r.vals, sign*v)
+			cols = append(cols, j)
+			vals = append(vals, sign*v)
 		})
-		rows = append(rows, r)
+		end := len(cols)
+		rows = append(rows, measRow{cols: cols[start:end:end], vals: vals[start:end:end]})
 		idx = append(idx, i)
 	}
 	return rows, idx, nil
@@ -179,6 +197,57 @@ func factorGain(rows []measRow, w []float64, n int) (*sparse.LU, error) {
 	return fact, nil
 }
 
+// gain is a factorized gain matrix with the inputs it was built from and
+// the residual variances it implies.
+type gain struct {
+	rows  []measRow
+	w     []float64
+	n     int
+	fact  *sparse.LU
+	omega []float64 // Omega_kk per row
+}
+
+// matches reports whether rows, w and n are bit for bit the inputs g was
+// built from.
+func (g *gain) matches(rows []measRow, w []float64, n int) bool {
+	if g == nil || g.n != n || len(g.rows) != len(rows) {
+		return false
+	}
+	for r, row := range rows {
+		old := g.rows[r]
+		if math.Float64bits(g.w[r]) != math.Float64bits(w[r]) || len(old.cols) != len(row.cols) {
+			return false
+		}
+		for a, c := range row.cols {
+			if old.cols[a] != c || math.Float64bits(old.vals[a]) != math.Float64bits(row.vals[a]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// gainFor returns the factorized gain matrix of rows, weights w and n
+// states, reusing the last successful one when its inputs are bit-identical
+// and keeping a newly computed one for the next solve. A failed
+// factorization leaves the kept one alone. The rows and weights are kept
+// by reference: the solver never modifies them after building them.
+func (e *Estimator) gainFor(rows []measRow, w []float64, n int) (*gain, error) {
+	if e.gain.matches(rows, w, n) {
+		return e.gain, nil
+	}
+	fact, err := factorGain(rows, w, n)
+	if err != nil {
+		return nil, err
+	}
+	omega, err := residualVariances(fact, rows, w)
+	if err != nil {
+		return nil, err
+	}
+	e.gain = &gain{rows: rows, w: w, n: n, fact: fact, omega: omega}
+	return e.gain, nil
+}
+
 // Estimate runs WLS estimation of the state from the measurement vector z
 // under the mapped topology t. Every plan-taken measurement must be present
 // in z; use EstimatePartial for degraded telemetry.
@@ -206,7 +275,7 @@ func (e *Estimator) Estimate(t grid.Topology, z *measure.Vector) (*Result, error
 // determine those states.
 func (e *Estimator) solve(t grid.Topology, rows []measRow, idx []int, zv, w []float64, stateBuses []int) (*Result, error) {
 	n := len(stateBuses)
-	fact, err := factorGain(rows, w, n)
+	g, err := e.gainFor(rows, w, n)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +287,7 @@ func (e *Estimator) solve(t grid.Topology, rows []measRow, idx []int, zv, w []fl
 			rhs[c] += row.vals[a] * wz
 		}
 	}
-	xr, err := fact.Solve(rhs)
+	xr, err := g.fact.Solve(rhs)
 	if err != nil {
 		return nil, fmt.Errorf("se: gain matrix solve: %w", err)
 	}
@@ -263,7 +332,7 @@ func (e *Estimator) solve(t grid.Topology, rows []measRow, idx []int, zv, w []fl
 		Flows:            flows,
 		DegreesOfFreedom: df,
 	}
-	res.SuspectMeasurement, res.SuspectResidual = largestNormalizedResidual(fact, rows, w, resid, idx)
+	res.SuspectMeasurement, res.SuspectResidual = largestNormalizedResidual(g.omega, resid, idx)
 	res.BadData = e.detectBadData(residual, df)
 	return res, nil
 }
@@ -302,34 +371,42 @@ func chiSquare95(df int) float64 {
 	return k * t * t * t
 }
 
-// largestNormalizedResidual returns the measurement with the largest
-// normalized residual |r_k| / sqrt(Omega_kk), the classical bad-data
-// identification statistic, where Omega = R - H G^-1 H^T with R = W^-1.
-// Each Omega_kk = 1/w_k - h_k G^-1 h_k^T costs one solve with the gain
-// factorization; G^-1 is never formed.
-func largestNormalizedResidual(fact *sparse.LU, rows []measRow, w, resid []float64, idx []int) (int, float64) {
-	bestI, bestV := 0, 0.0
-	rhs := make([]float64, fact.Order())
+// residualVariances returns the residual variance of every row,
+// Omega_kk = 1/w_k - h_k G^-1 h_k^T, the diagonal of Omega = R - H G^-1 H^T
+// with R = W^-1. Each costs one solve with the gain factorization, into
+// one pair of buffers; G^-1 is never formed.
+func residualVariances(fact *sparse.LU, rows []measRow, w []float64) ([]float64, error) {
+	omega := make([]float64, len(rows))
+	x, work := make([]float64, fact.Order()), make([]float64, fact.Order())
 	for k, row := range rows {
-		for i := range rhs {
-			rhs[i] = 0
+		for i := range x {
+			x[i] = 0
 		}
 		for a, c := range row.cols {
-			rhs[c] = row.vals[a]
+			x[c] = row.vals[a]
 		}
-		tmp, err := fact.Solve(rhs)
-		if err != nil {
-			return 0, 0
+		if err := fact.SolveInto(x, work, x); err != nil {
+			return nil, fmt.Errorf("se: residual variance solve: %w", err)
 		}
 		var hgh float64
 		for a, c := range row.cols {
-			hgh += row.vals[a] * tmp[c]
+			hgh += row.vals[a] * x[c]
 		}
-		omega := 1/w[k] - hgh
-		if omega < 1e-12 {
+		omega[k] = 1/w[k] - hgh
+	}
+	return omega, nil
+}
+
+// largestNormalizedResidual returns the measurement with the largest
+// normalized residual |r_k| / sqrt(Omega_kk), the classical bad-data
+// identification statistic.
+func largestNormalizedResidual(omega, resid []float64, idx []int) (int, float64) {
+	bestI, bestV := 0, 0.0
+	for k, om := range omega {
+		if om < 1e-12 {
 			continue // critical measurement: residual always ~0
 		}
-		rn := math.Abs(resid[k]) / math.Sqrt(omega)
+		rn := math.Abs(resid[k]) / math.Sqrt(om)
 		if rn > bestV {
 			bestV = rn
 			bestI = idx[k]
