@@ -66,6 +66,16 @@ func (m VerifyMode) String() string {
 }
 
 // Analyzer holds one impact-analysis problem instance.
+//
+// Every analysis (Run, RunLadder) also returns its candidate record
+// (Report.Record): the candidates in search order with their
+// threshold-independent verification outcomes, and how the search ended.
+// The candidate stream depends on the problem and on Verify, MaxIterations,
+// BlockPrecision and Certify, never on the target, so the record answers
+// other targets under that configuration: Record.Replay gives exactly the
+// verdict Run computes at a target the record covers, and says when it
+// does not cover one. Budgets (MaxConflicts, MaxPivots, QueryTimeout) are
+// outside that contract: a replay equals a Run that no budget interrupts.
 type Analyzer struct {
 	Grid       *grid.Grid
 	Plan       *measure.Plan
@@ -192,9 +202,16 @@ type Report struct {
 	// them; it is 0 under the other verification modes. A ladder's reports
 	// each carry the ladder-wide count.
 	ExactFallbacks int
+
+	// Record is the analysis's candidate record, which answers other targets
+	// on the same problem and configuration (Record.Replay). A ladder's
+	// reports share one. Candidates replayed from a checkpoint journal carry
+	// an outcome only when they were verified again (under VerifyLP).
+	Record *Record
 }
 
-// Run executes the Fig. 2 loop.
+// Run executes the Fig. 2 loop. The report's Record holds every candidate
+// the loop verified, up to the one that reached the threshold.
 func (a *Analyzer) Run() (*Report, error) {
 	start := time.Now()
 	if a.Grid == nil || a.Plan == nil {
@@ -210,7 +227,8 @@ func (a *Analyzer) Run() (*Report, error) {
 	}
 	threshold := base.Cost * (1 + a.TargetIncreasePercent/100)
 
-	rep := &Report{BaselineCost: base.Cost, Threshold: threshold}
+	rec := &Record{baseline: base.Cost}
+	rep := &Report{BaselineCost: base.Cost, Threshold: threshold, Record: rec}
 	acc := &statsAcc{}
 
 	var jr *Journal
@@ -234,9 +252,9 @@ func (a *Analyzer) Run() (*Report, error) {
 			defer jr.Close()
 		}
 		if !done && len(recs) > 0 {
-			var reverify func(*attack.Vector) (float64, bool, error)
+			var reverify func(*attack.Vector) (candidate, bool, error)
 			if a.verifyMode() == VerifyLP {
-				reverify = func(v *attack.Vector) (float64, bool, error) {
+				reverify = func(v *attack.Vector) (candidate, bool, error) {
 					return a.verify(v, ws, fac, threshold, acc)
 				}
 			}
@@ -259,6 +277,7 @@ func (a *Analyzer) Run() (*Report, error) {
 		rep.AttackSearchTime += time.Since(t0)
 		if errors.Is(err, smt.ErrCanceled) {
 			rep.Canceled = true
+			rec.end = endCanceled
 			break
 		}
 		if err != nil {
@@ -266,6 +285,7 @@ func (a *Analyzer) Run() (*Report, error) {
 		}
 		if v == nil {
 			rep.Exhausted = true
+			rec.end = endExhausted
 			if jr != nil {
 				if err := jr.AppendFinal(false, true, nil, 0); err != nil {
 					return nil, err
@@ -276,32 +296,38 @@ func (a *Analyzer) Run() (*Report, error) {
 		rep.Iterations++
 
 		t1 := time.Now()
-		cost, reached, err := a.verify(v, ws, fac, threshold, acc)
+		c, reached, err := a.verify(v, ws, fac, threshold, acc)
 		rep.VerifyTime += time.Since(t1)
 		if errors.Is(err, smt.ErrCanceled) {
 			rep.Canceled = true
+			rec.end = endCanceled
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
+		rec.cands = append(rec.cands, c)
 		if jr != nil {
-			if err := jr.AppendIter(rep.Iterations, v, cost, reached); err != nil {
+			if err := jr.AppendIter(rep.Iterations, v, c.cost, reached); err != nil {
 				return nil, err
 			}
 		}
 		if reached {
 			rep.Found = true
 			rep.Vector = v
-			rep.AttackedCost = cost
+			rep.AttackedCost = c.cost
+			rec.end = endResolved
 			if jr != nil {
-				if err := jr.AppendFinal(true, false, v, cost); err != nil {
+				if err := jr.AppendFinal(true, false, v, c.cost); err != nil {
 					return nil, err
 				}
 			}
 			break
 		}
 		model.Block(v, a.BlockPrecision)
+	}
+	if rec.end == endOpen { // the loop ran to the cap
+		rec.end = endCapped
 	}
 	acc.st.Add(model.Solver().Stats())
 	acc.fill(rep, ws)
@@ -317,10 +343,13 @@ func (a *Analyzer) verifyMode() VerifyMode {
 	return a.Verify
 }
 
+// defaultMaxIterations is the iteration cap MaxIterations 0 selects.
+const defaultMaxIterations = 200
+
 // maxIterations is a.MaxIterations with its default applied.
 func (a *Analyzer) maxIterations() int {
 	if a.MaxIterations <= 0 {
-		return 200
+		return defaultMaxIterations
 	}
 	return a.MaxIterations
 }
@@ -431,11 +460,13 @@ func (a *Analyzer) openCheckpoint(cfg JournalConfig, rep *Report) (*Journal, []J
 // but the journaled verification verdicts are reused. reverify, when set,
 // re-solves a candidate's verification (one re-optimization from the
 // baseline, or a cold solve for an inclusion) as a check: its cost and
-// reached flag must equal the journaled ones bit for bit.
+// reached flag must equal the journaled ones bit for bit, and the
+// re-verified outcome joins rep.Record; without it the candidate joins the
+// record without an outcome.
 // Each regenerated candidate must match the journal exactly; a mismatch
 // means the journal belongs to a different problem. Returns done=true when
 // the replay reached a definitive verdict.
-func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journal, recs []JournalRecord, maxIter int, reverify func(*attack.Vector) (float64, bool, error)) (bool, error) {
+func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journal, recs []JournalRecord, maxIter int, reverify func(*attack.Vector) (candidate, bool, error)) (bool, error) {
 	for _, rec := range recs {
 		if rec.Kind != RecIter {
 			return true, fmt.Errorf("%w: unexpected %q record during replay", ErrJournal, rec.Kind)
@@ -456,21 +487,25 @@ func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journa
 		if v == nil || !vectorsEqual(v, rec.Vector) {
 			return true, fmt.Errorf("%w: iteration %d regenerated a different candidate than the journal records (was the input changed?)", ErrJournal, rec.Iter)
 		}
+		c := candidate{vector: v, noOutcome: true}
 		if reverify != nil {
-			cost, reached, err := reverify(v)
+			var reached bool
+			c, reached, err = reverify(v)
 			if err != nil {
 				return true, err
 			}
-			if math.Float64bits(cost) != math.Float64bits(rec.Cost) || reached != rec.Reached {
-				return true, fmt.Errorf("%w: iteration %d re-verified to cost %v reached=%t, the journal records %v reached=%t", ErrJournal, rec.Iter, cost, reached, rec.Cost, rec.Reached)
+			if math.Float64bits(c.cost) != math.Float64bits(rec.Cost) || reached != rec.Reached {
+				return true, fmt.Errorf("%w: iteration %d re-verified to cost %v reached=%t, the journal records %v reached=%t", ErrJournal, rec.Iter, c.cost, reached, rec.Cost, rec.Reached)
 			}
 		}
+		rep.Record.cands = append(rep.Record.cands, c)
 		rep.Iterations++
 		rep.ResumedIterations++
 		if rec.Reached {
 			rep.Found = true
 			rep.Vector = v
 			rep.AttackedCost = rec.Cost
+			rep.Record.end = endResolved
 			return true, jr.AppendFinal(true, false, v, rec.Cost)
 		}
 		model.Block(v, a.BlockPrecision)
@@ -478,32 +513,43 @@ func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journa
 	return false, nil
 }
 
-// verify evaluates one candidate vector: the operator reruns OPF on the
-// poisoned topology with the attack's load estimates. An attack succeeds
-// when the resulting minimum cost is at least the threshold while OPF still
-// converges (Eq. 38: the attacker avoids non-convergent outcomes).
-func (a *Analyzer) verify(v *attack.Vector, ws *opf.WarmSolver, fac *dist.Factors, threshold float64, acc *statsAcc) (float64, bool, error) {
+// verify evaluates one candidate vector against threshold: the operator
+// reruns OPF on the poisoned topology with the attack's load estimates. An
+// attack succeeds when the resulting minimum cost is at least the threshold
+// while OPF still converges (Eq. 38: the attacker avoids non-convergent
+// outcomes). It returns the candidate with its outcome and whether it
+// reaches threshold; a candidate the exact model cannot certify has no
+// outcome, and the SMT fallback decides it at this threshold.
+func (a *Analyzer) verify(v *attack.Vector, ws *opf.WarmSolver, fac *dist.Factors, threshold float64, acc *statsAcc) (candidate, bool, error) {
+	c, err := a.outcome(v, ws, fac, acc)
+	if err != nil || !c.noOutcome {
+		return c, c.reaches(threshold), err
+	}
+	reached, err := a.smtReached(v, threshold, acc)
+	return c, reached, err
+}
+
+// outcome verifies candidate v once, independently of any threshold: the
+// post-attack OPF minimum under VerifyLP and VerifyShift, the certified
+// exact optimum under VerifySMT, which answers every threshold's Eq. 38/37
+// pair. A VerifySMT candidate the exact model cannot certify comes back
+// with noOutcome set and counts as a fallback in acc.
+func (a *Analyzer) outcome(v *attack.Vector, ws *opf.WarmSolver, fac *dist.Factors, acc *statsAcc) (candidate, error) {
+	c := candidate{vector: v}
+	var err error
 	switch mode := a.verifyMode(); mode {
 	case VerifyLP, VerifyShift:
-		cost, converged, err := a.opfCost(mode, v, ws, fac)
-		return cost, converged && cost >= threshold, err
-
+		c.cost, c.converged, err = a.opfCost(mode, v, ws, fac)
 	case VerifySMT:
-		// The exact model answers both queries from one certified optimum.
-		em, err := a.exactModel(v)
-		if err == nil {
-			return 0, exactReached(em, threshold), nil
+		c.exact, err = a.exactModel(v)
+		if errors.Is(err, opf.ErrNotCertified) {
+			acc.fallbacks++
+			c.noOutcome, err = true, nil
 		}
-		if !errors.Is(err, opf.ErrNotCertified) {
-			return 0, false, err
-		}
-		acc.fallbacks++
-		reached, err := a.smtReached(v, threshold, acc)
-		return 0, reached, err
-
 	default:
-		return 0, false, fmt.Errorf("%w: unknown verify mode %v", ErrConfig, mode)
+		err = fmt.Errorf("%w: unknown verify mode %v", ErrConfig, mode)
 	}
+	return c, err
 }
 
 // smtReached is the SMT fallback for a candidate the exact model cannot
@@ -545,11 +591,4 @@ func (a *Analyzer) exactModel(v *attack.Vector) (*opf.ExactModel, error) {
 		defer cancel()
 	}
 	return opf.NewExactModel(ctx, a.Grid, v.MappedTopology, v.ObservedLoads)
-}
-
-// exactReached is the Eq. 38 / Eq. 37 pair on a certified optimum: OPF
-// converges for a generous budget while no dispatch stays below the
-// threshold itself.
-func exactReached(em *opf.ExactModel, threshold float64) bool {
-	return em.CostBelow(threshold*10) && !em.CostBelow(threshold)
 }

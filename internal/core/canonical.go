@@ -152,6 +152,16 @@ func keyEncoding(certify bool) string {
 // same key; any one-ULP numeric difference, and any configuration difference
 // that could change a definitive verdict, maps to a different one.
 func CacheKey(g *grid.Grid, p *measure.Plan, cap attack.Capability, kc KeyConfig) string {
+	key, _ := CacheKeys(g, p, cap, kc)
+	return key
+}
+
+// CacheKeys returns CacheKey and the record key: the hex SHA-256 of the
+// bytes CacheKey hashes before its target list, which name the problem
+// and the configuration a candidate record is searched under (verify mode,
+// iteration cap, block precision, certification). Every request that
+// differs only in its targets shares one record key.
+func CacheKeys(g *grid.Grid, p *measure.Plan, cap attack.Capability, kc KeyConfig) (key, recordKey string) {
 	h := sha256.New()
 	h.Write(CanonicalProblemBytes(g, p, cap))
 	mode := kc.Verify
@@ -160,13 +170,14 @@ func CacheKey(g *grid.Grid, p *measure.Plan, cap attack.Capability, kc KeyConfig
 	}
 	maxIter := kc.MaxIterations
 	if maxIter <= 0 {
-		maxIter = 200
+		maxIter = defaultMaxIterations
 	}
 	prec := kc.BlockPrecision
 	fmt.Fprintf(h, "cfg v1 verify=%d maxiter=%d prec=%016x certify=%t encoding=%s targets=",
 		int(mode), maxIter, math.Float64bits(prec), kc.Certify, keyEncoding(kc.Certify))
+	recordKey = hex.EncodeToString(h.Sum(nil)) // Sum leaves the state to continue from
 	for _, t := range kc.Targets {
 		fmt.Fprintf(h, "%016x,", math.Float64bits(t))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), recordKey
 }

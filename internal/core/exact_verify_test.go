@@ -142,9 +142,9 @@ func TestExactVerifyFallsBackToSMT(t *testing.T) {
 		t.Fatalf("exact model on an infeasible LP: %v, want ErrNotCertified", err)
 	}
 	acc := &statsAcc{}
-	cost, reached, err := a.verify(v, nil, nil, 1e6, acc)
-	if err != nil || reached || cost != 0 {
-		t.Fatalf("verify = %v, %t, %v; want 0, false, nil", cost, reached, err)
+	c, reached, err := a.verify(v, nil, nil, 1e6, acc)
+	if err != nil || reached || c.cost != 0 || !c.noOutcome {
+		t.Fatalf("verify = %+v, %t, %v; want a candidate without outcome, false, nil", c, reached, err)
 	}
 	var rep Report
 	acc.fill(&rep, nil)
@@ -156,9 +156,16 @@ func TestExactVerifyFallsBackToSMT(t *testing.T) {
 	}
 
 	acc = &statsAcc{}
+	c, err = a.outcome(v, nil, nil, acc)
+	if err != nil || !c.noOutcome {
+		t.Fatalf("outcome = %+v, %v; want a candidate without outcome", c, err)
+	}
+	rec := &Record{cands: []candidate{c}}
 	open := []*rung{{rep: &Report{Threshold: 1e6}}, {rep: &Report{Threshold: 2e6}}}
-	if err := a.ladderVerify(VerifySMT, v, nil, nil, open, acc); err != nil {
-		t.Fatal(err)
+	for _, r := range open {
+		if err := a.advance(r, rec, acc); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i, r := range open {
 		if r.rep.Found || r.rep.Canceled || r.resolved {
@@ -190,13 +197,20 @@ func TestExactVerifyHonoursQueryTimeout(t *testing.T) {
 	if _, _, err := a.verify(vs[0], nil, nil, 1e6, acc); !errors.Is(err, smt.ErrCanceled) {
 		t.Fatalf("verify past its deadline: %v, want smt.ErrCanceled", err)
 	}
+	// The ladder verifies a candidate once for every open rung: the canceled
+	// check ends its record, and every open rung ends canceled.
+	rec := &Record{}
 	open := []*rung{{rep: &Report{Threshold: 1e6}}, {rep: &Report{Threshold: 2e6}}}
-	if err := a.ladderVerify(VerifySMT, vs[0], nil, nil, open, acc); err != nil {
+	more, err := a.ladderStep(vs[0], rec, open, nil, nil, acc)
+	if err != nil || more || rec.end != endCanceled || len(rec.cands) != 0 {
+		t.Fatalf("ladder step past its deadline: more=%t end=%v candidates=%d err=%v, want a canceled record", more, rec.end, len(rec.cands), err)
+	}
+	if err := settleRungs(rec, open, a.maxIterations()); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range open {
-		if !r.rep.Canceled || !r.resolved || r.rep.Found {
-			t.Errorf("rung %d: canceled=%t resolved=%t found=%t, want a canceled rung", i, r.rep.Canceled, r.resolved, r.rep.Found)
+		if !r.rep.Canceled || r.rep.Found || r.rep.Iterations != 1 {
+			t.Errorf("rung %d: canceled=%t found=%t iterations=%d, want a canceled rung at its first candidate", i, r.rep.Canceled, r.rep.Found, r.rep.Iterations)
 		}
 	}
 	var rep Report

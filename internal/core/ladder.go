@@ -18,9 +18,10 @@ import (
 // The key structural fact the ladder exploits is that the Fig. 2 candidate
 // stream is target-independent: FindVector and Block never look at the
 // threshold, so the per-rung runs that a naive sweep would execute all walk
-// the same candidate sequence, each stopping at its own first success. The
-// ladder therefore enumerates that sequence once and verifies every
-// candidate against all still-unresolved rungs:
+// the same candidate sequence, each stopping at its own first success.
+// The ladder therefore enumerates that sequence once into its candidate
+// record, verifying each candidate once, and resolves every still-open rung
+// by replaying the record (Record.Replay's walk and end rule):
 //
 //   - Under VerifyLP / VerifyShift one OPF solve per candidate (under
 //     VerifyLP a re-optimization from the baseline) yields the post-attack
@@ -39,7 +40,8 @@ import (
 // different points. Timing and statistics fields are attributions of shared
 // work (each rung's report charges the full shared candidate-search time it
 // consumed, and SolverStats totals ladder-wide effort, so summing across
-// reports double-counts).
+// reports double-counts). The reports share the ladder's Record, which
+// answers further targets on the problem without a search.
 //
 // CheckpointPath is not supported (a journal fingerprints a single
 // threshold); callers wanting resumability should run the rungs as separate
@@ -61,17 +63,18 @@ func (a *Analyzer) RunLadder(targets []float64) ([]*Report, error) {
 		return nil, fmt.Errorf("%w: grid and plan are required", ErrConfig)
 	}
 	maxIter := a.maxIterations()
-	mode := a.verifyMode()
 	ws, base, model, fac, err := a.setup()
 	if err != nil {
 		return nil, err
 	}
 
+	rec := &Record{baseline: base.Cost}
 	rungs := make([]*rung, len(targets))
 	for i, t := range targets {
 		rungs[i] = &rung{rep: &Report{
 			BaselineCost: base.Cost,
 			Threshold:    base.Cost * (1 + t/100),
+			Record:       rec,
 		}}
 	}
 	unresolved := func() []*rung {
@@ -85,11 +88,14 @@ func (a *Analyzer) RunLadder(targets []float64) ([]*Report, error) {
 	}
 
 	acc := &statsAcc{}
-	iter := 0
-
 	for {
 		open := unresolved()
-		if len(open) == 0 || iter >= maxIter {
+		if len(open) == 0 {
+			rec.end = endResolved
+			break
+		}
+		if len(rec.cands) >= maxIter {
+			rec.end = endCapped
 			break
 		}
 		t0 := time.Now()
@@ -101,35 +107,30 @@ func (a *Analyzer) RunLadder(targets []float64) ([]*Report, error) {
 			r.rep.AttackSearchTime += findTime
 		}
 		if errors.Is(err, smt.ErrCanceled) {
-			for _, r := range open {
-				r.rep.Canceled = true
-				r.resolved = true
-			}
+			rec.end = endCanceled
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
 		if v == nil {
-			for _, r := range open {
-				r.rep.Exhausted = true
-				r.resolved = true
-			}
+			rec.end = endExhausted
 			break
 		}
-		iter++
-		for _, r := range open {
-			r.rep.Iterations = iter
-		}
 
-		if err := a.ladderVerify(mode, v, ws, fac, open, acc); err != nil {
+		more, err := a.ladderStep(v, rec, open, ws, fac, acc)
+		if err != nil {
 			return nil, err
 		}
-
-		if len(unresolved()) == 0 {
+		if !more {
 			break
 		}
-		model.Block(v, a.BlockPrecision)
+		if len(unresolved()) > 0 {
+			model.Block(v, a.BlockPrecision)
+		}
+	}
+	if err := settleRungs(rec, rungs, maxIter); err != nil {
+		return nil, err
 	}
 
 	acc.st.Add(model.Solver().Stats())
@@ -146,89 +147,90 @@ func (a *Analyzer) RunLadder(targets []float64) ([]*Report, error) {
 // rung is one target's in-progress state inside the ladder.
 type rung struct {
 	rep      *Report
-	resolved bool // Found, Exhausted, Canceled, or iteration budget hit
+	next     int  // record position the rung's replay resumes at
+	resolved bool // Found or Canceled while the search ran
 }
 
-// ladderVerify verifies one candidate against every open rung and resolves
-// the rungs it satisfies (or cancels).
-func (a *Analyzer) ladderVerify(mode VerifyMode, v *attack.Vector, ws *opf.WarmSolver, fac *dist.Factors, open []*rung, acc *statsAcc) error {
-	switch mode {
-	case VerifyLP, VerifyShift:
-		t0 := time.Now()
-		cost, converged, err := a.opfCost(mode, v, ws, fac)
-		vt := time.Since(t0)
-		for _, r := range open {
-			r.rep.VerifyTime += vt
+// ladderStep verifies candidate v once into the record and resolves the
+// open rungs it decides. It reports false when a canceled verification ends
+// the record; settleRungs then cancels every rung still open.
+func (a *Analyzer) ladderStep(v *attack.Vector, rec *Record, open []*rung, ws *opf.WarmSolver, fac *dist.Factors, acc *statsAcc) (bool, error) {
+	t0 := time.Now()
+	c, err := a.outcome(v, ws, fac, acc)
+	vt := time.Since(t0)
+	for _, r := range open {
+		r.rep.VerifyTime += vt
+		r.rep.Iterations = len(rec.cands) + 1
+	}
+	if errors.Is(err, smt.ErrCanceled) {
+		rec.end = endCanceled
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	rec.cands = append(rec.cands, c)
+	for _, r := range open {
+		if err := a.advance(r, rec, acc); err != nil {
+			return false, err
 		}
-		if err != nil {
-			return err
-		}
-		for _, r := range open {
-			if converged && cost >= r.rep.Threshold {
-				r.rep.Found = true
-				r.rep.Vector = v
-				r.rep.AttackedCost = cost
-				r.resolved = true
-			}
-		}
-		return nil
+	}
+	return true, nil
+}
 
-	case VerifySMT:
-		// One exact model answers every open rung; a candidate it cannot
-		// certify falls back to the SMT model, one per open rung.
-		t0 := time.Now()
-		em, err := a.exactModel(v)
-		vt := time.Since(t0)
-		for _, r := range open {
-			r.rep.VerifyTime += vt
+// settleRungs decides the rungs still open when the ladder's search ended:
+// the record's end decides them as it decides a replay, except a
+// cancellation, which is the rungs' own.
+func settleRungs(rec *Record, rungs []*rung, maxIter int) error {
+	for _, r := range rungs {
+		switch {
+		case r.resolved:
+		case rec.end == endCanceled:
+			r.rep.Canceled = true
+		case !rec.settle(r.rep, r.next, maxIter):
+			return fmt.Errorf("core: ladder ended %v with a rung its record does not decide", rec.end)
 		}
-		if errors.Is(err, smt.ErrCanceled) {
-			for _, r := range open {
-				r.rep.Canceled = true
-				r.resolved = true
-			}
+	}
+	return nil
+}
+
+// advance replays the record's candidates that rung r has not walked yet
+// against its threshold, and resolves r at the first that reaches it. A
+// candidate without an outcome goes to Run's SMT fallback at r's threshold,
+// whose budget exhaustion cancels r alone, exactly as r's own Run would
+// have recorded it.
+func (a *Analyzer) advance(r *rung, rec *Record, acc *statsAcc) error {
+	for !r.resolved && r.next < len(rec.cands) {
+		pos, found := rec.walk(r.rep.Threshold, r.next, len(rec.cands))
+		if pos == len(rec.cands) {
+			r.next = pos
 			return nil
 		}
-		if err == nil {
-			for _, r := range open {
-				if exactReached(em, r.rep.Threshold) {
-					r.rep.Found = true
-					r.rep.Vector = v
-					r.resolved = true
-				}
-			}
-			return nil
-		}
-		if !errors.Is(err, opf.ErrNotCertified) {
-			return err
-		}
-		acc.fallbacks++
-		for _, r := range open {
+		c := &rec.cands[pos]
+		r.next = pos + 1
+		r.rep.Iterations = r.next
+		if !found {
 			t0 := time.Now()
-			reached, err := a.smtReached(v, r.rep.Threshold, acc)
+			reached, err := a.smtReached(c.vector, r.rep.Threshold, acc)
 			r.rep.VerifyTime += time.Since(t0)
 			if errors.Is(err, smt.ErrCanceled) {
-				// Budget exhaustion is per rung, exactly as the rung's own
-				// Run would have recorded it; the other rungs continue.
 				r.rep.Canceled = true
 				r.resolved = true
-				continue
+				return nil
 			}
 			if err != nil {
 				return err
 			}
-			if reached {
-				r.rep.Found = true
-				r.rep.Vector = v
-				// AttackedCost stays 0 under VerifySMT, matching Run.
-				r.resolved = true
-			}
+			found = reached
 		}
-		return nil
-
-	default:
-		return fmt.Errorf("%w: unknown verify mode %v", ErrConfig, mode)
+		if found {
+			r.rep.Found = true
+			r.rep.Vector = c.vector
+			r.rep.AttackedCost = c.cost // 0 under VerifySMT, matching Run
+			r.resolved = true
+		}
 	}
+	return nil
 }
 
 // opfCost computes the candidate's exact post-attack OPF minimum for the

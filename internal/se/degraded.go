@@ -37,9 +37,10 @@ func (e *Estimator) EstimatePartial(t grid.Topology, z, lastGood *measure.Vector
 		return nil, err
 	}
 	var missing []int
-	var prows []measRow
-	var pidx []int
-	var pzv, pw []float64
+	prows := make([]measRow, 0, len(idx))
+	pidx := make([]int, 0, len(idx))
+	pzv := make([]float64, 0, len(idx))
+	pw := make([]float64, 0, len(idx))
 	for k, i := range idx {
 		if !z.Present[i] {
 			missing = append(missing, i)

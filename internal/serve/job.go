@@ -93,6 +93,10 @@ type ParsedJob struct {
 	// Key is the content address of (canonical problem bytes, verdict-
 	// relevant configuration): hex SHA-256, also used as the job ID.
 	Key string
+	// RecordKey is Key without the targets (core.CacheKeys): the address of
+	// the candidate record every target on this problem and configuration
+	// shares.
+	RecordKey string
 }
 
 // Capability returns the attacker capability the job runs under: the input
@@ -175,7 +179,7 @@ func ParseJobRequest(data []byte, lim Limits) (*ParsedJob, error) {
 	}
 
 	p := &ParsedJob{Req: req, In: in, Mode: mode, Targets: targets}
-	p.Key = core.CacheKey(in.Grid, in.Plan, p.Capability(), core.KeyConfig{
+	p.Key, p.RecordKey = core.CacheKeys(in.Grid, in.Plan, p.Capability(), core.KeyConfig{
 		Targets:        targets,
 		Verify:         mode,
 		BlockPrecision: req.BlockPrecision,

@@ -38,6 +38,7 @@ type Job struct {
 	state     JobState
 	result    *Result
 	cached    bool // result was served from cache, not solved by this job
+	replayed  bool // result was replayed from a candidate record
 	errMsg    string
 	retryable bool
 	started   time.Time
@@ -51,6 +52,7 @@ type JobStatus struct {
 	Tier      string   `json:"tier,omitempty"`
 	State     JobState `json:"state"`
 	Cached    bool     `json:"cached,omitempty"`
+	Replayed  bool     `json:"replayed,omitempty"`
 	Error     string   `json:"error,omitempty"`
 	Retryable bool     `json:"retryable,omitempty"`
 	ElapsedMS int64    `json:"elapsed_ms,omitempty"`
@@ -72,10 +74,25 @@ func newJob(p *ParsedJob, tenant string, tier Tier) *Job {
 // newCachedJob records a pure cache hit as an addressable, already-done job.
 func newCachedJob(p *ParsedJob, tenant string, tier Tier, res *Result) *Job {
 	j := newJob(p, tenant, tier)
-	j.state = JobDone
-	j.result = res
 	j.cached = true
 	j.events.append("cached", map[string]string{"key": p.Key})
+	return j.answered(res)
+}
+
+// newReplayedJob records a submission answered by replaying a candidate
+// record as an addressable, already-done job; walked is the number of
+// recorded candidates the replay walked.
+func newReplayedJob(p *ParsedJob, tenant string, tier Tier, res *Result, walked int) *Job {
+	j := newJob(p, tenant, tier)
+	j.replayed = true
+	j.events.append("replayed", map[string]any{"key": p.Key, "candidates": walked})
+	return j.answered(res)
+}
+
+// answered finishes a job answered at submit time with res.
+func (j *Job) answered(res *Result) *Job {
+	j.state = JobDone
+	j.result = res
 	j.events.append("done", nil)
 	j.events.closeLog()
 	close(j.done)
@@ -92,6 +109,7 @@ func (j *Job) Status() JobStatus {
 		Tier:      j.Tier.Name,
 		State:     j.state,
 		Cached:    j.cached,
+		Replayed:  j.replayed,
 		Error:     j.errMsg,
 		Retryable: j.retryable,
 	}

@@ -45,11 +45,12 @@ type Config struct {
 }
 
 // Server is the analysis service: HTTP transport over a sharded job queue,
-// content-addressed cache, and tenant table.
+// content-addressed cache, candidate-record table, and tenant table.
 type Server struct {
 	cfg     Config
 	limits  Limits
 	cache   *Cache
+	records *recordTable
 	tenants *Tenants
 	queue   *queue
 	mux     *http.ServeMux
@@ -84,6 +85,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		limits:  cfg.Limits.fill(),
 		cache:   NewCache(cfg.CacheEntries),
+		records: newRecordTable(recordBudget),
 		tenants: NewTenants(cfg.DefaultTier, cfg.Tiers, cfg.Now),
 		jobs:    make(map[string]*Job),
 		maxJobs: maxRetainedJobs,
@@ -181,7 +183,8 @@ func (s *Server) registerJob(job *Job) (*Job, bool) {
 }
 
 // Submit runs the full submission path programmatically (the HTTP handler
-// and the restart-recovery scan both funnel through it): cache lookup,
+// and the restart-recovery scan both funnel through it): cache lookup, a
+// replay of the candidate record held for the request's problem,
 // deduplication, durable request record, enqueue. It never rate-limits —
 // admission is the transport's concern.
 func (s *Server) Submit(parsed *ParsedJob, tenant string, rawRequest []byte) (*Job, error) {
@@ -189,6 +192,13 @@ func (s *Server) Submit(parsed *ParsedJob, tenant string, rawRequest []byte) (*J
 	if res, ok := s.cache.Get(parsed.Key); ok {
 		job := newCachedJob(parsed, tenant, tier, res)
 		reg, _ := s.registerJob(job)
+		return reg, nil
+	}
+	if res, walked, ok := s.records.replay(parsed); ok {
+		// Like a solved definitive result, it enters the cache and the
+		// result file; there is no request record or journal to write.
+		s.storeResult(res)
+		reg, _ := s.registerJob(newReplayedJob(parsed, tenant, tier, res, walked))
 		return reg, nil
 	}
 	job := newJob(parsed, tenant, tier)
@@ -334,28 +344,37 @@ func (s *Server) runJob(job *Job) {
 	if hook := currentTestJobHook(); hook != nil {
 		hook(job)
 	}
-	res, err := s.solve(job)
+	res, rec, err := s.solve(job)
 	if err != nil {
 		job.fail(err.Error(), false)
 		return
 	}
+	s.records.put(job.Parsed.RecordKey, rec)
 	if res.Definitive {
-		s.cache.Put(job.ID, res)
-		if s.cfg.JournalDir != "" {
-			if data, merr := json.Marshal(res); merr == nil {
-				if werr := journal.WriteFileAtomic(s.resultPath(job.ID), data); werr != nil {
-					s.cfg.Logf("serve: persist result %s: %v", job.ID, werr)
-				}
-			}
-		}
+		s.storeResult(res)
 	}
 	job.complete(res)
 }
 
+// storeResult puts a definitive result in the cache and, in a durable
+// service, in its result file.
+func (s *Server) storeResult(res *Result) {
+	s.cache.Put(res.Key, res)
+	if s.cfg.JournalDir == "" {
+		return
+	}
+	if data, merr := json.Marshal(res); merr == nil {
+		if werr := journal.WriteFileAtomic(s.resultPath(res.Key), data); werr != nil {
+			s.cfg.Logf("serve: persist result %s: %v", res.Key, werr)
+		}
+	}
+}
+
 // solve runs the analysis for one job: a checkpointed Run for single-target
 // jobs (each durable journal record streaming out as a progress event), a
-// ladder for multi-target ones.
-func (s *Server) solve(job *Job) (*Result, error) {
+// ladder for multi-target ones. It returns the analysis's candidate record
+// beside the result.
+func (s *Server) solve(job *Job) (*Result, *core.Record, error) {
 	p := job.Parsed
 	a := &core.Analyzer{
 		Grid:           p.In.Grid,
@@ -390,25 +409,25 @@ func (s *Server) solve(job *Job) (*Result, error) {
 			// cold rather than failing the job.
 			s.cfg.Logf("serve: job %s: discarding unusable journal: %v", job.ID, err)
 			if rmErr := os.Remove(a.CheckpointPath); rmErr != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			rep, err = a.Run()
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return resultFromReports(job.ID, p.Targets, []*core.Report{rep}), nil
+		return resultFromReports(job.ID, p.Targets, []*core.Report{rep}), rep.Record, nil
 	}
 	reps, err := a.RunLadder(p.Targets)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i, rep := range reps {
 		job.events.append("rung", map[string]any{
 			"target": p.Targets[i], "found": rep.Found, "exhausted": rep.Exhausted, "canceled": rep.Canceled,
 		})
 	}
-	return resultFromReports(job.ID, p.Targets, reps), nil
+	return resultFromReports(job.ID, p.Targets, reps), reps[0].Record, nil
 }
 
 // ---- HTTP transport ----
@@ -417,6 +436,7 @@ type submitResponse struct {
 	JobID        string   `json:"job_id"`
 	State        JobState `json:"state"`
 	Cached       bool     `json:"cached,omitempty"`
+	Replayed     bool     `json:"replayed,omitempty"`
 	Deduplicated bool     `json:"deduplicated,omitempty"`
 	Result       *Result  `json:"result,omitempty"`
 }
@@ -473,7 +493,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := job.Status()
-	resp := submitResponse{JobID: job.ID, State: st.State, Cached: st.Cached}
+	resp := submitResponse{JobID: job.ID, State: st.State, Cached: st.Cached, Replayed: st.Replayed}
 	if st.State == JobDone {
 		// Served without solving anything for this submission — whether the
 		// result came from the cache proper or from an already-finished job
@@ -558,6 +578,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // StatsSnapshot is the /v1/stats payload.
 type StatsSnapshot struct {
 	Cache   CacheStats             `json:"cache"`
+	Records RecordStats            `json:"records"`
 	Tenants map[string]TenantStats `json:"tenants"`
 	Jobs    map[JobState]int       `json:"jobs"`
 	Workers int                    `json:"workers"`
@@ -567,6 +588,7 @@ type StatsSnapshot struct {
 func (s *Server) Stats() StatsSnapshot {
 	snap := StatsSnapshot{
 		Cache:   s.cache.Stats(),
+		Records: s.records.stats(),
 		Tenants: s.tenants.Stats(),
 		Jobs:    make(map[JobState]int),
 		Workers: s.cfg.Workers,

@@ -83,7 +83,8 @@ func TestCacheHitBitIdentical(t *testing.T) {
 }
 
 // TestLadderJob answers several thresholds as one ladder and
-// cross-checks each rung against an independently solved single-target job.
+// cross-checks each rung against an independently solved single-target job,
+// each on a fresh server so that none is replayed from another's record.
 func TestLadderJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{JournalDir: t.TempDir()})
 	input := caseInputText(t, "paper5", 1, 3)
@@ -102,8 +103,12 @@ func TestLadderJob(t *testing.T) {
 		if r.TargetPercent != want {
 			t.Fatalf("rung %d target %v, want %v", i, r.TargetPercent, want)
 		}
-		single, _ := submit(t, ts.URL, "bob", jobBody(t, JobRequest{Input: input, Targets: []float64{want}}))
-		sst := waitDone(t, ts.URL, single.JobID)
+		_, fresh := newTestServer(t, Config{JournalDir: t.TempDir()})
+		single, code := submit(t, fresh.URL, "bob", jobBody(t, JobRequest{Input: input, Targets: []float64{want}}))
+		if code != http.StatusAccepted {
+			t.Fatalf("single-target job at %v: status %d, want a solve", want, code)
+		}
+		sst := waitDone(t, fresh.URL, single.JobID)
 		sr := sst.Result.Rungs[0]
 		if sr.Found != r.Found || sr.Exhausted != r.Exhausted || sr.AttackedCost != r.AttackedCost {
 			t.Fatalf("rung %v: ladder verdict %+v != single-target verdict %+v", want, r, sr)
