@@ -313,6 +313,8 @@ func runSoak(stdout io.Writer, caseName string, cycles int, matrixSpec string, s
 	}
 	fmt.Fprintln(stdout)
 	fmt.Fprintf(stdout, "degraded cycles: %d (dispatch held on %d)\n", rep.Degraded(), rep.Held())
+	fmt.Fprintf(stdout, "opf: memo hits=%d cold solves=%d re-optimized=%d (%d pivots)\n",
+		rep.OPF.MemoHits, rep.OPF.Cold, rep.OPF.Reopts, rep.OPF.Pivots)
 	fmt.Fprintf(stdout, "cycle latency: p50=%v p90=%v p99=%v max=%v\n",
 		rep.LatencyP50, rep.LatencyP90, rep.LatencyP99, rep.LatencyMax)
 	for _, st := range rep.RTUs {

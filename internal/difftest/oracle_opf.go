@@ -332,10 +332,28 @@ func checkOPF(sys *System) string {
 			return msg
 		}
 	}
+	// The fleet's degraded cycles: the true topology at a load picture off
+	// the grid's own, in the last bits and by a percent, re-optimized from
+	// the baseline. The perturbation is a function of the bus index alone,
+	// so the case's RNG, and every generated system, stays as it was.
+	ws := opf.NewWarmSolver(g)
+	for _, scale := range []float64{1e-13, 1e-2} {
+		loads := g.LoadVector()
+		for k := range loads {
+			loads[k] *= 1 + scale*float64(k%3-1)
+		}
+		want, err := opfOracle(g, topos[0], loads)
+		if err != nil {
+			return fmt.Sprintf("opf oracle error: %v", err)
+		}
+		sol, err := ws.SolveTopology(topos[0], loads)
+		if msg := judgeOPF(g, topos[0], loads, want, "WarmSolver.SolveTopology", sol, err); msg != "" {
+			return msg
+		}
+	}
 	if len(topos) == 1 {
 		return ""
 	}
-	ws := opf.NewWarmSolver(g)
 	shifted := g.LoadVector()
 	if base, err := ws.Baseline(); err == nil {
 		shifted[removed.From-1] += base.Flows[removed.ID-1]

@@ -6,6 +6,7 @@
 package ems
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -21,17 +22,28 @@ import (
 var ErrBadData = errors.New("ems: bad data detected, cycle aborted")
 
 // Pipeline is one EMS instance. It keeps one state estimator across
-// cycles and, like it, is not safe for concurrent use.
+// cycles, and from its first degraded cycle the attack-free OPF baseline of
+// its grid; like them, it is not safe for concurrent use.
+//
+// A cycle's OPF depends on its snapshot alone. On complete telemetry it is
+// a cold opf.Solve. On degraded telemetry (RunCycleResilient with an
+// incomplete measurement set) it is re-optimized, with
+// opf.WarmSolver.SolveTopology, from the true topology solved at the
+// grid's own loads, a function of the grid alone: a degraded load picture
+// differs from the grid's loads in the last bits, and that takes no pivot
+// where a cold solve takes hundreds. Either answer depends only on the
+// grid, the topology and the loads, never on earlier cycles.
 type Pipeline struct {
 	Grid *grid.Grid
 	Plan *measure.Plan
 	// ResidualThreshold configures bad-data detection (0: chi-square test).
 	ResidualThreshold float64
-	// Memo, when non-nil, short-circuits OPF solves whose (topology, loads)
-	// bits were seen before, returning a copy of the previously computed
-	// solution. A hit is the exact cold result, bit-identical to
-	// re-solving, so a quiet continuous-operation cycle stays cheap without
-	// giving up bit-reproducibility.
+	// Memo, when non-nil, short-circuits OPF solves whose (solver,
+	// topology, loads) bits were seen before on the same grid, returning a
+	// copy of the previously computed solution. A hit is that solver's
+	// exact result, bit-identical to re-solving, so a quiet
+	// continuous-operation cycle stays cheap without giving up
+	// bit-reproducibility.
 	Memo *OPFMemo
 
 	// est is the state estimator of estGrid and estPlan, kept across
@@ -39,7 +51,28 @@ type Pipeline struct {
 	est     *se.Estimator
 	estGrid *grid.Grid
 	estPlan *measure.Plan
+
+	// warm re-optimizes degraded cycles' OPFs from the baseline of
+	// warmGrid, whose bits were warmBits; gridBits is the scratch the
+	// current grid's bits are appended to (grid.Grid.AppendBits).
+	warm     *opf.WarmSolver
+	warmGrid *grid.Grid
+	warmBits []byte
+	gridBits []byte
+
+	stats OPFStats
 }
+
+// OPFStats counts how a Pipeline answered the OPFs of its cycles.
+type OPFStats struct {
+	MemoHits int `json:"memo_hits"` // answered by the memo
+	Cold     int `json:"cold"`      // solved cold by opf.Solve
+	Reopts   int `json:"reopts"`    // re-optimized from the grid's baseline
+	Pivots   int `json:"pivots"`    // simplex pivots of those re-optimizations
+}
+
+// OPFStats returns the counts so far.
+func (p *Pipeline) OPFStats() OPFStats { return p.stats }
 
 // estimator returns the pipeline's state estimator, rebuilt when Grid or
 // Plan is no longer the one it was built for, with the current threshold.
@@ -51,18 +84,53 @@ func (p *Pipeline) estimator() *se.Estimator {
 	return p.est
 }
 
-// solveOPF dispatches through the memo when configured.
-func (p *Pipeline) solveOPF(t grid.Topology, loads []float64) (*opf.Solution, error) {
+// solveOPF answers a cycle's OPF through the memo when configured: cold on
+// complete telemetry, re-optimized from the grid's baseline when degraded.
+func (p *Pipeline) solveOPF(t grid.Topology, loads []float64, degraded bool) (*opf.Solution, error) {
+	p.gridBits = p.Grid.AppendBits(p.gridBits[:0])
+	solver := solverCold
+	if degraded {
+		solver = solverBaseline
+	}
 	var key string
 	if p.Memo != nil {
-		key = p.Memo.key(p.Grid, t, loads)
+		p.Memo.forGrid(p.gridBits)
+		key = p.Memo.key(solver, p.Grid, t, loads)
 		if sol, ok := p.Memo.get(key); ok {
+			p.stats.MemoHits++
 			return sol, nil
 		}
 	}
-	sol, err := opf.Solve(p.Grid, t, loads)
+	var sol *opf.Solution
+	var err error
+	if degraded {
+		sol, err = p.reoptimize(t, loads)
+	} else {
+		p.stats.Cold++
+		sol, err = opf.Solve(p.Grid, t, loads)
+	}
 	if err == nil && p.Memo != nil {
 		p.Memo.put(key, sol)
+	}
+	return sol, err
+}
+
+// reoptimize solves the OPF from the grid's attack-free baseline, building
+// it on first use and again whenever Grid, or any bit of it, is no longer
+// what it was built from. A topology the baseline cannot reach (a line
+// outside the true topology) is solved cold by the WarmSolver.
+func (p *Pipeline) reoptimize(t grid.Topology, loads []float64) (*opf.Solution, error) {
+	if p.warm == nil || p.warmGrid != p.Grid || !bytes.Equal(p.warmBits, p.gridBits) {
+		p.warm, p.warmGrid = opf.NewWarmSolver(p.Grid), p.Grid
+		p.warmBits = append(p.warmBits[:0], p.gridBits...)
+	}
+	before := p.warm.Stats()
+	sol, err := p.warm.SolveTopology(t, loads)
+	if after := p.warm.Stats(); after.Reopts > before.Reopts {
+		p.stats.Reopts++
+		p.stats.Pivots += after.Pivots - before.Pivots
+	} else {
+		p.stats.Cold++
 	}
 	return sol, err
 }
@@ -121,7 +189,7 @@ func (p *Pipeline) RunCycle(z *measure.Vector, report *topo.Report, currentDispa
 			loads[j] = 0
 		}
 	}
-	sol, err := p.solveOPF(mapped, loads)
+	sol, err := p.solveOPF(mapped, loads, false)
 	if err != nil {
 		return nil, fmt.Errorf("ems: OPF: %w", err)
 	}
@@ -181,7 +249,7 @@ func (p *Pipeline) RunCycleResilient(z *measure.Vector, report *topo.Report, cur
 		out.Dispatch = &opf.Solution{Dispatch: append([]float64(nil), currentDispatch...), Cost: p.TrueCost(currentDispatch)}
 		return out, nil
 	}
-	sol, err := p.solveOPF(mapped, loads)
+	sol, err := p.solveOPF(mapped, loads, res.Degraded)
 	if err != nil {
 		return nil, fmt.Errorf("ems: OPF: %w", err)
 	}

@@ -1,6 +1,7 @@
 package ems
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 
@@ -8,14 +9,22 @@ import (
 	"gridattack/internal/opf"
 )
 
-// OPFMemo memoizes exact OPF solutions keyed by the mapped topology and the
-// load-vector bits. A continuous-operation loop solves the identical
-// (topology, loads) snapshot cycle after cycle whenever the system is quiet;
-// a memo hit returns a copy of the very Solution the cold solver produced
-// for those bits, so a hit is the exact cold result and memoization is
-// invisible to bit-reproducibility guarantees.
+// OPFMemo memoizes OPF solutions keyed by the solver that answered, the
+// mapped topology and the load-vector bits, for the grid it last saw. A
+// continuous-operation loop solves the identical (topology, loads) snapshot
+// cycle after cycle whenever the system is quiet; a memo hit returns a copy
+// of the very Solution that solver produced for those bits, so a hit is the
+// result a fresh Pipeline computes and memoization is invisible to
+// bit-reproducibility guarantees.
+//
+// The solver byte keeps a cold solve (complete telemetry) and a
+// re-optimization from the grid's baseline (degraded telemetry) of the
+// same snapshot apart: each cycle gets its own solver's answer. The
+// entries answer for one grid: when asked about a grid whose bits
+// (grid.Grid.AppendBits) differ, the memo drops them all.
 type OPFMemo struct {
 	capacity int
+	grid     []byte   // the bits of the grid the entries were solved for
 	order    []string // least-recently-used first
 	sols     map[string]*opf.Solution
 	hits     int
@@ -39,10 +48,28 @@ func (m *OPFMemo) Stats() (hits, misses int) {
 	return m.hits, m.misses
 }
 
-// key renders the snapshot bits: one byte per line's in-service flag
-// followed by every load's Float64bits.
-func (m *OPFMemo) key(g *grid.Grid, t grid.Topology, loads []float64) string {
-	buf := make([]byte, 0, g.NumLines()+8*len(loads))
+// Which solver answered a memo entry: the first byte of its key.
+const (
+	solverCold     byte = 'c' // opf.Solve
+	solverBaseline byte = 'b' // opf.WarmSolver.SolveTopology from the grid's baseline
+)
+
+// forGrid drops every entry unless gridBits are the bits of the grid the
+// entries were solved for, and remembers gridBits.
+func (m *OPFMemo) forGrid(gridBits []byte) {
+	if bytes.Equal(m.grid, gridBits) {
+		return
+	}
+	m.grid = append(m.grid[:0], gridBits...)
+	m.order = m.order[:0]
+	clear(m.sols)
+}
+
+// key renders the snapshot bits: the solver byte, one byte per line's
+// in-service flag and every load's Float64bits.
+func (m *OPFMemo) key(solver byte, g *grid.Grid, t grid.Topology, loads []float64) string {
+	buf := make([]byte, 0, 1+g.NumLines()+8*len(loads))
+	buf = append(buf, solver)
 	for _, ln := range g.Lines {
 		b := byte(0)
 		if t.Contains(ln.ID) {
@@ -73,15 +100,7 @@ func (m *OPFMemo) get(key string) (*opf.Solution, bool) {
 		}
 	}
 	// Copy out so a caller mutating the result cannot poison the cache.
-	cp := &opf.Solution{
-		Cost:     sol.Cost,
-		Dispatch: append([]float64(nil), sol.Dispatch...),
-		Flows:    append([]float64(nil), sol.Flows...),
-	}
-	if sol.Theta != nil {
-		cp.Theta = append([]float64(nil), sol.Theta...)
-	}
-	return cp, true
+	return copySolution(sol), true
 }
 
 func (m *OPFMemo) put(key string, sol *opf.Solution) {
@@ -93,6 +112,12 @@ func (m *OPFMemo) put(key string, sol *opf.Solution) {
 		m.order = m.order[1:]
 		delete(m.sols, evict)
 	}
+	m.sols[key] = copySolution(sol)
+	m.order = append(m.order, key)
+}
+
+// copySolution returns a deep copy of sol.
+func copySolution(sol *opf.Solution) *opf.Solution {
 	cp := &opf.Solution{
 		Cost:     sol.Cost,
 		Dispatch: append([]float64(nil), sol.Dispatch...),
@@ -101,6 +126,5 @@ func (m *OPFMemo) put(key string, sol *opf.Solution) {
 	if sol.Theta != nil {
 		cp.Theta = append([]float64(nil), sol.Theta...)
 	}
-	m.sols[key] = cp
-	m.order = append(m.order, key)
+	return cp
 }

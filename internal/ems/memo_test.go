@@ -16,11 +16,11 @@ func TestOPFMemoBitTransparent(t *testing.T) {
 	topoAll := g.TrueTopology()
 	loads := g.LoadVector()
 
-	cold, err := p.solveOPF(topoAll, loads)
+	cold, err := p.solveOPF(topoAll, loads, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit, err := p.solveOPF(topoAll, loads)
+	hit, err := p.solveOPF(topoAll, loads, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestOPFMemoBitTransparent(t *testing.T) {
 
 	// Mutating a returned solution must not poison the cache.
 	hit.Dispatch[0] += 99
-	again, err := p.solveOPF(topoAll, loads)
+	again, err := p.solveOPF(topoAll, loads, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +52,14 @@ func TestOPFMemoBitTransparent(t *testing.T) {
 	loadsB[0] += 0.01
 	loadsC := append([]float64(nil), loads...)
 	loadsC[0] += 0.02
-	if _, err := p.solveOPF(topoAll, loadsB); err != nil {
+	if _, err := p.solveOPF(topoAll, loadsB, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.solveOPF(topoAll, loadsC); err != nil {
+	if _, err := p.solveOPF(topoAll, loadsC, false); err != nil {
 		t.Fatal(err)
 	}
 	_, missesBefore := p.Memo.Stats()
-	if _, err := p.solveOPF(topoAll, loads); err != nil {
+	if _, err := p.solveOPF(topoAll, loads, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, misses := p.Memo.Stats(); misses != missesBefore+1 {

@@ -236,8 +236,11 @@ func newCore(cfg Config) (*Supervisor, error) {
 	s.health.ReadmitAfter = cfg.ReadmitAfter
 
 	// Quiet cycles are kept cheap by the solution memo: a hit replays the
-	// cold solve's exact result, so the loop's bit-identity guarantees
-	// (kill-and-resume, post-recovery convergence) hold with or without it.
+	// exact result of the solver that answered the snapshot first (a cold
+	// solve on complete telemetry, a re-optimization from the grid's
+	// baseline on degraded telemetry; both depend on the snapshot alone),
+	// so the loop's bit-identity guarantees (kill-and-resume,
+	// post-recovery convergence) hold with or without it.
 	s.pipe = ems.NewPipeline(cfg.Grid, cfg.Plan)
 	s.pipe.ResidualThreshold = cfg.ResidualThreshold
 	s.pipe.Memo = ems.NewOPFMemo(8)

@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -81,6 +83,49 @@ func assertFloatsEqual(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// cycleDisps returns the Disp sub-record of every cycle record in the
+// journal at path, in record order; nil where a cycle journaled none.
+func cycleDisps(t *testing.T, path string) []*DispState {
+	t.Helper()
+	_, _, recs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*DispState
+	for _, rec := range recs {
+		if rec.Kind == recCycle {
+			if rec.Cycle != len(out)+1 {
+				t.Fatalf("%s: record of cycle %d where cycle %d belongs", path, rec.Cycle, len(out)+1)
+			}
+			out = append(out, rec.Disp)
+		}
+	}
+	return out
+}
+
+// assertSameDisps fails unless got journals a Disp sub-record in exactly
+// the cycles want does, with the same dispatch and set-point float bits:
+// every cycle's dispatch, not only the last, must not depend on how the
+// run was interrupted.
+func assertSameDisps(t *testing.T, what string, got, want []*DispState) {
+	t.Helper()
+	bitsEqual := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d cycle records, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		switch {
+		case (g == nil) != (w == nil):
+			t.Fatalf("%s: cycle %d journals a dispatch: %v, uninterrupted run: %v", what, i+1, g != nil, w != nil)
+		case w != nil && (!bitsEqual(g.Dispatch, w.Dispatch) || !bitsEqual(g.Setpoint, w.Setpoint)):
+			t.Fatalf("%s: cycle %d dispatch %v set-point %v, uninterrupted run %v / %v", what, i+1, g.Dispatch, g.Setpoint, w.Dispatch, w.Setpoint)
+		}
+	}
+}
+
 // TestSoakSmokeWithFaults drives 35 cycles against a real-TCP paper5 fleet
 // under a four-outage fault matrix: every faulted RTU trips, quarantines,
 // recovers, and is re-admitted, and the final dispatch is bit-identical to an
@@ -151,8 +196,8 @@ func TestSoakSmokeWithFaults(t *testing.T) {
 
 // TestKillAndResume kills a faulted soak mid-quarantine (via the test hook)
 // and resumes it from the journal: the stitched 30-cycle outcome sequence,
-// the final dispatch, and the per-RTU health table must all be bit-identical
-// to an uninterrupted run.
+// every cycle's journaled dispatch, the final dispatch, and the per-RTU
+// health table must all be bit-identical to an uninterrupted run.
 func TestKillAndResume(t *testing.T) {
 	const spec = "bus2:drop@3..5;bus3:reset@14..16"
 
@@ -210,13 +255,15 @@ func TestKillAndResume(t *testing.T) {
 	if !reflect.DeepEqual(st.Outcomes, repA.Outcomes) {
 		t.Fatalf("stitched outcome sequence diverges from uninterrupted run:\n%v\n%v", st.Outcomes, repA.Outcomes)
 	}
+	assertSameDisps(t, "stitched journal", cycleDisps(t, cfgB.JournalPath), cycleDisps(t, cfgA.JournalPath))
 }
 
 // TestCrashPointResume resumes the TestKillAndResume soak from every state a
 // crash can leave its journal in — each record cut at its start, one byte
 // in, and one byte short of its newline (every third record under -short).
 // Each resumed run must finish with the uninterrupted run's outcome
-// sequence, dispatch, set-point and health table.
+// sequence, every cycle's journaled dispatch, and its final dispatch,
+// set-point and health table.
 func TestCrashPointResume(t *testing.T) {
 	const spec = "bus2:drop@3..5;bus3:reset@14..16"
 	cfgA, _, _ := newHarness(t)
@@ -228,6 +275,7 @@ func TestCrashPointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantDisps := cycleDisps(t, cfgA.JournalPath)
 
 	every := 1
 	if testing.Short() {
@@ -259,6 +307,7 @@ func TestCrashPointResume(t *testing.T) {
 					t.Fatalf("cut at byte %d: outcomes diverge:\n%v\n%v", cut, got, repA.Outcomes)
 				}
 				what := fmt.Sprintf("cut at byte %d", cut)
+				assertSameDisps(t, what, cycleDisps(t, cfg.JournalPath), wantDisps)
 				assertFloatsEqual(t, what+": dispatch", sup.Dispatch(), supA.Dispatch())
 				assertFloatsEqual(t, what+": setpoint", sup.Setpoint(), supA.Setpoint())
 				if !reflect.DeepEqual(sup.Health().Snapshot(), supA.Health().Snapshot()) {

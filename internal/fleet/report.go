@@ -3,6 +3,8 @@ package fleet
 import (
 	"sort"
 	"time"
+
+	"gridattack/internal/ems"
 )
 
 // SoakReport is the accumulated outcome of a Run: the per-cycle verdict
@@ -34,6 +36,11 @@ type SoakReport struct {
 
 	// Monitor holds one entry per drift check.
 	Monitor []MonitorResult `json:"monitor,omitempty"`
+
+	// OPF counts how this supervisor's pipeline answered the cycles' OPFs
+	// (memo hits, cold solves, re-optimizations and their pivots), filled
+	// by the end of Run; a resumed supervisor counts from its resume.
+	OPF ems.OPFStats `json:"opf"`
 
 	latencies []time.Duration
 }
@@ -87,8 +94,9 @@ func (r *SoakReport) finalize(rtus []RTUStat) {
 	r.LatencyMax = sorted[len(sorted)-1]
 }
 
-// finishReport folds the final health table and latency percentiles into
-// the report.
+// finishReport folds the final health table, latency percentiles and OPF
+// counts into the report.
 func (s *Supervisor) finishReport() {
 	s.report.finalize(s.health.Snapshot())
+	s.report.OPF = s.pipe.OPFStats()
 }

@@ -13,6 +13,7 @@
 package grid
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -206,6 +207,55 @@ func (g *Grid) Clone() *Grid {
 	c.Generators = append([]Generator(nil), g.Generators...)
 	c.Loads = append([]Load(nil), g.Loads...)
 	return c
+}
+
+// AppendBits appends to buf the bits of every field of g but Name, in slice
+// order, floats as their IEEE-754 bits: two grids append the same bytes
+// exactly when every computation on them reads the same values. Caches
+// that must notice a grid replaced or edited in place key on it.
+func (g *Grid) AppendBits(buf []byte) []byte {
+	u := func(v int) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
+	f := func(v float64) { buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v)) }
+	b := func(vs ...bool) {
+		for _, v := range vs {
+			if v {
+				buf = append(buf, 1)
+			} else {
+				buf = append(buf, 0)
+			}
+		}
+	}
+	u(g.RefBus)
+	u(len(g.Buses))
+	for _, bus := range g.Buses {
+		u(bus.ID)
+		b(bus.HasGenerator, bus.HasLoad)
+	}
+	u(len(g.Lines))
+	for _, ln := range g.Lines {
+		u(ln.ID)
+		u(ln.From)
+		u(ln.To)
+		f(ln.Admittance)
+		f(ln.Capacity)
+		b(ln.InService, ln.Core, ln.StatusSecured, ln.CanAlterStatus, ln.AdmittanceKnown)
+	}
+	u(len(g.Generators))
+	for _, gen := range g.Generators {
+		u(gen.Bus)
+		f(gen.MaxP)
+		f(gen.MinP)
+		f(gen.Alpha)
+		f(gen.Beta)
+	}
+	u(len(g.Loads))
+	for _, ld := range g.Loads {
+		u(ld.Bus)
+		f(ld.P)
+		f(ld.MaxP)
+		f(ld.MinP)
+	}
+	return buf
 }
 
 // Topology is the set of lines mapped as closed, as produced by the topology

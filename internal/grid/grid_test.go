@@ -1,9 +1,11 @@
 package grid
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -133,6 +135,46 @@ func TestClone(t *testing.T) {
 	c.Loads[0].P = 9
 	if g.Lines[0].Admittance == 99 || g.Loads[0].P == 9 {
 		t.Error("Clone aliases underlying slices")
+	}
+}
+
+// TestAppendBitsSeesEveryField: a clone appends the same bits, and a
+// change to any field of the grid but Name, or of any of its buses, lines,
+// generators and loads, appends different ones.
+func TestAppendBitsSeesEveryField(t *testing.T) {
+	g := testGrid()
+	want := g.AppendBits(nil)
+	c := g.Clone()
+	c.Name = "renamed"
+	if !bytes.Equal(c.AppendBits(nil), want) {
+		t.Fatal("a clone appends different bits")
+	}
+	nudge := func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int:
+			v.SetInt(v.Int() + 1)
+		case reflect.Float64:
+			v.SetFloat(math.Nextafter(v.Float(), math.Inf(1)))
+		default:
+			t.Fatalf("no nudge for a %s field", v.Kind())
+		}
+	}
+	c = g.Clone()
+	nudge(reflect.ValueOf(c).Elem().FieldByName("RefBus"))
+	if bytes.Equal(c.AppendBits(nil), want) {
+		t.Error("RefBus: same bits")
+	}
+	for _, slice := range []string{"Buses", "Lines", "Generators", "Loads"} {
+		elem := reflect.ValueOf(g).Elem().FieldByName(slice).Index(0)
+		for f := 0; f < elem.NumField(); f++ {
+			c := g.Clone()
+			nudge(reflect.ValueOf(c).Elem().FieldByName(slice).Index(0).Field(f))
+			if bytes.Equal(c.AppendBits(nil), want) {
+				t.Errorf("%s[0].%s: same bits", slice, elem.Type().Field(f).Name)
+			}
+		}
 	}
 }
 

@@ -62,6 +62,16 @@
 // in the last places. The golden test's /reopt entries pin them, and this
 // package's tests pin that neither the order of the changes nor the
 // scratch's history moves a bit.
+//
+// A call that only changes right-hand sides (no fixed column, no dropped
+// row) first moves the basic values through B^-1 without copying the
+// tableau, in the full path's loop order and row signs. Reduced costs do
+// not depend on the right-hand side, so if every basic value stays within
+// its bounds by restore's feasTol, the full path would take no phase-1 and
+// no phase-2 pivot (SolveBaseline checks once that phase 2's first full
+// pricing picks no entering column) and would return the baseline's basis
+// at those values: the right-hand-side path returns exactly that, through
+// the same extraction. Anything else falls through to the full path.
 package lp
 
 import (

@@ -213,3 +213,90 @@ func TestReoptimizeHistoryIndependent(t *testing.T) {
 		}
 	}
 }
+
+// sameCertificate reports whether two solutions have the same basis and the
+// same bound side for each of n columns.
+func sameCertificate(a, b *Solution, n int) bool {
+	if !slices.Equal(a.Basis, b.Basis) {
+		return false
+	}
+	for j := 0; j < n; j++ {
+		if a.AtUpper(j) != b.AtUpper(j) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReoptimizeRHSMatchesFullPath: a change of right-hand sides alone,
+// from 1e-14 to 5% relative, returns the full path's status, objective, X,
+// basis and bound sides bit for bit, whether the basic values stay in
+// bounds (moveRHS answers) or not (the full path runs). Both happen.
+func TestReoptimizeRHSMatchesFullPath(t *testing.T) {
+	var inBounds, fallThrough int
+	for seed := int64(1); seed <= 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := randomLP(rng)
+		_, b, err := p.SolveBaseline()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if b == nil {
+			continue
+		}
+		for _, scale := range []float64{1e-14, 1e-10, 1e-6, 1e-3, 0.05} {
+			rhs := make([]float64, len(p.cons))
+			for i, c := range p.cons {
+				rhs[i] = c.rhs + scale*(2*rng.Float64()-1)*math.Max(1, math.Abs(c.rhs))
+			}
+			want, err := b.reoptimize(nil, nil, rhs)
+			if err != nil {
+				t.Fatalf("seed %d scale %g: full path: %v", seed, scale, err)
+			}
+			if b.moveRHS(rhs) != nil {
+				inBounds++
+			} else {
+				fallThrough++
+			}
+			got, err := b.Reoptimize(nil, nil, rhs)
+			if err != nil {
+				t.Fatalf("seed %d scale %g: %v", seed, scale, err)
+			}
+			if !sameBits(got, want) || (want.Status == Optimal && !sameCertificate(got, want, len(b.t.status))) {
+				t.Fatalf("seed %d scale %g: %+v, full path %+v", seed, scale, got, want)
+			}
+		}
+	}
+	t.Logf("%d in-bounds returns, %d fall-throughs", inBounds, fallThrough)
+	if inBounds == 0 || fallThrough == 0 {
+		t.Fatalf("%d in-bounds returns and %d fall-throughs: want both", inBounds, fallThrough)
+	}
+}
+
+// TestReoptimizeRHSAllocatesNoTableau: an in-bounds right-hand-side change
+// is answered from the baseline tableau, without the scratch copy.
+func TestReoptimizeRHSAllocatesNoTableau(t *testing.T) {
+	for seed := int64(1); seed <= 100; seed++ {
+		p := randomLP(rand.New(rand.NewSource(seed)))
+		sol, b, err := p.SolveBaseline()
+		if err != nil || b == nil {
+			continue
+		}
+		rhs := make([]float64, len(p.cons))
+		for i, c := range p.cons {
+			rhs[i] = c.rhs * (1 + 1e-14)
+		}
+		if b.moveRHS(rhs) == nil {
+			continue
+		}
+		got, err := b.Reoptimize(nil, nil, rhs)
+		if err != nil || got.Status != Optimal || got.Pivots != 0 {
+			t.Fatalf("seed %d: %+v, %v (baseline %+v)", seed, got, err, sol)
+		}
+		if b.work != nil {
+			t.Fatalf("seed %d: an in-bounds right-hand-side change allocated the scratch tableau", seed)
+		}
+		return
+	}
+	t.Fatal("no LP stayed in bounds")
+}

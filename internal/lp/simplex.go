@@ -219,7 +219,12 @@ func (p *Problem) solve(keep bool) (*Solution, *Baseline, error) {
 	if err != nil || sol.Status != Optimal || !keep {
 		return sol, nil, err
 	}
-	return sol, &Baseline{p: p, t: t, neg: neg, art: artIdx}, nil
+	// Reduced costs do not depend on the right-hand side, so the pricing
+	// Reoptimize's phase 2 starts from after a right-hand-side change alone
+	// is this one, made once here (the solution above is already taken).
+	t.priceAll(cost)
+	enter, _, err := t.entering(0)
+	return sol, &Baseline{p: p, t: t, neg: neg, art: artIdx, priced: err == nil && enter < 0}, nil
 }
 
 // phase2 minimizes p's objective from the tableau's feasible basis.
@@ -242,13 +247,15 @@ var errPhase1 = errors.New("lp: phase 1 unbounded (internal error)")
 // which Reoptimize solves modifications of the same problem. It is not safe
 // for concurrent use.
 type Baseline struct {
-	p    *Problem
-	t    *tableau  // never modified after the solve
-	neg  []bool    // rows the setup negated
-	art  int       // row i's artificial is column art+i
-	work *tableau  // Reoptimize's scratch, allocated on its first call
-	cost []float64 // and its cost vector
-	fix  []int     // and its sorted fixed columns
+	p      *Problem
+	t      *tableau  // never modified after the solve
+	neg    []bool    // rows the setup negated
+	art    int       // row i's artificial is column art+i
+	priced bool      // a full pricing of t picks no entering column
+	xB     []float64 // moveRHS's basic values, allocated on its first call
+	work   *tableau  // reoptimize's scratch, allocated on its first call
+	cost   []float64 // and its cost vector
+	fix    []int     // and its sorted fixed columns
 }
 
 // Reoptimize solves the baseline's problem with the structural columns in
@@ -260,7 +267,21 @@ type Baseline struct {
 // sides through B^-1, restores feasibility with a bounded primal phase 1
 // and re-optimizes with phase 2. The Solution's Pivots counts this call's
 // pivots; its Basis may hold a dropped row's artificial.
+//
+// A change of right-hand sides alone whose basic values stay within their
+// bounds is answered by moveRHS without the scratch: the full path would
+// take no pivot from there, and moveRHS returns its bits.
 func (b *Baseline) Reoptimize(fix, drop []int, rhs []float64) (*Solution, error) {
+	if len(fix) == 0 && len(drop) == 0 && b.priced {
+		if sol := b.moveRHS(rhs); sol != nil {
+			return sol, nil
+		}
+	}
+	return b.reoptimize(fix, drop, rhs)
+}
+
+// reoptimize is Reoptimize's full path, from a copy of the baseline tableau.
+func (b *Baseline) reoptimize(fix, drop []int, rhs []float64) (*Solution, error) {
 	p, t := b.p, b.scratch()
 	// Ascending column order keeps the sums below independent of fix's.
 	b.fix = append(b.fix[:0], fix...)
@@ -283,16 +304,7 @@ func (b *Baseline) Reoptimize(fix, drop []int, rhs []float64) (*Solution, error)
 			t.status[art] = statusFree
 		}
 	}
-	for r, v := range rhs {
-		if delta := v - p.cons[r].rhs; delta != 0 {
-			if b.neg[r] {
-				delta = -delta
-			}
-			for i, row := range t.a {
-				t.xB[i] += row[b.art+r] * delta
-			}
-		}
-	}
+	b.shiftRHS(t.xB, rhs)
 	if feasible, err := t.restore(b.cost); err != nil || !feasible {
 		return &Solution{Status: Infeasible}, err
 	}
@@ -301,6 +313,48 @@ func (b *Baseline) Reoptimize(fix, drop []int, rhs []float64) (*Solution, error)
 		sol.Basis, sol.status = slices.Clone(sol.Basis), slices.Clone(sol.status)
 	}
 	return sol, err
+}
+
+// moveRHS is reoptimize for new right-hand sides alone, read off the
+// baseline tableau. It moves the basic values as reoptimize does, and
+// returns nil, for the full path, when one leaves its bounds by more than
+// restore's feasTol. Otherwise restore would return at once and phase 2
+// would price the baseline's columns, whose reduced costs no right-hand
+// side moves, and pick no entering column (b.priced); so the solution is
+// extract's of the baseline tableau at the new basic values, with no
+// pivot: the full path's bits.
+func (b *Baseline) moveRHS(rhs []float64) *Solution {
+	t := *b.t
+	if b.xB == nil {
+		b.xB = make([]float64, t.m)
+	}
+	t.xB, t.pivots = b.xB, 0
+	copy(t.xB, b.t.xB)
+	b.shiftRHS(t.xB, rhs)
+	for i, j := range t.basis {
+		if x := t.xB[i]; x < t.lower[j]-feasTol || x > t.upper[j]+feasTol {
+			return nil
+		}
+	}
+	sol := t.extract(b.p)
+	sol.Basis, sol.status = slices.Clone(t.basis), slices.Clone(t.status)
+	return sol
+}
+
+// shiftRHS moves basic values xB from the problem's right-hand sides to
+// rhs through B^-1 (the baseline's artificial columns), row by row in the
+// setup's signs: x_B += B^-1 e_r * delta_r.
+func (b *Baseline) shiftRHS(xB, rhs []float64) {
+	for r, v := range rhs {
+		if delta := v - b.p.cons[r].rhs; delta != 0 {
+			if b.neg[r] {
+				delta = -delta
+			}
+			for i, row := range b.t.a {
+				xB[i] += row[b.art+r] * delta
+			}
+		}
+	}
 }
 
 // scratch copies the baseline tableau into the work tableau, allocating it

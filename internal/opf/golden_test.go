@@ -178,8 +178,9 @@ func solveDirect(t *testing.T, name string, p *lp.Problem) (*lp.Solution, error)
 // through opf.Solve. Each /solve entry digests the LP solution of the
 // identical problem next to the OPF result, since opf.Solve hides the raw LP
 // fields; each /basis entry digests that LP's final basis. Each /reopt entry
-// of a reduced topology digests its re-optimization from the system's
-// true-topology WarmSolver: the OPF result and the pivots it took.
+// digests the pair's re-optimization from the system's true-topology
+// WarmSolver: the OPF result and the pivots it took. On the true topology
+// that is a right-hand-side change alone, the fleet's degraded-cycle OPF.
 func goldenAngleEntries(t *testing.T, name string, seed int64, topoCount, loadCount int) []goldenEntry {
 	t.Helper()
 	c, err := cases.ByName(name)
@@ -207,9 +208,6 @@ func goldenAngleEntries(t *testing.T, name string, seed int64, topoCount, loadCo
 			var basis goldenDigest
 			basis.basis(numColumns(p), sol, err)
 			out = append(out, goldenEntry{prefix + "/basis", basis.sum()})
-			if ti == 0 {
-				continue
-			}
 			var reopt goldenDigest
 			pivots := ws.Stats().Pivots
 			reopt.opf(ws.SolveTopology(topo, loads))

@@ -14,9 +14,11 @@
 package se
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"gridattack/internal/grid"
 	"gridattack/internal/linalg/sparse"
@@ -34,14 +36,23 @@ var ErrUnobservable = errors.New("se: system unobservable with the taken measure
 // next solve's measurement rows (column indices and value bits), weight
 // bits and state count are all the same. Those are the only inputs of the
 // factorization, so a reuse returns exactly what recomputing would, and a
-// changed plan, weight, topology or grid simply misses. An Estimator is
-// not safe for concurrent use.
+// changed plan, weight, topology or grid simply misses. It keeps the
+// measurement rows themselves the same way, keyed on the bits of
+// everything they are built from. An Estimator is not safe for concurrent
+// use.
 type Estimator struct {
 	grid *grid.Grid
 	plan *measure.Plan
 
 	// gain is the factorization of the last successful solve.
 	gain *gain
+
+	// rows and rowsIdx are the last measRows result, and rowsKey the bits
+	// of its inputs (see measRowsKey); keyBuf is scratch for the next key.
+	rows    []measRow
+	rowsIdx []int
+	rowsKey []byte
+	keyBuf  []byte
 
 	// Weights holds per-measurement weights (reciprocal error variances),
 	// indexed by 1-based measurement number; entries <= 0 default to 1.
@@ -114,8 +125,15 @@ type measRow struct {
 
 // measRows extracts the plan's taken rows of the sparse reduced measurement
 // matrix under topology t, with their 1-based measurement numbers. The
-// rows share one backing array of columns and one of values.
+// rows share one backing array of columns and one of values. It returns
+// the last call's rows when their inputs are bit for bit the same; callers
+// never modify either slice.
 func (e *Estimator) measRows(t grid.Topology) ([]measRow, []int, error) {
+	key := e.measRowsKey(e.keyBuf[:0], t)
+	if e.rows != nil && slices.Equal(key, e.rowsKey) {
+		e.keyBuf = key
+		return e.rows, e.rowsIdx, nil
+	}
 	hr, err := e.grid.ReducedMeasurementSparse(t)
 	if err != nil {
 		return nil, nil, err
@@ -148,7 +166,32 @@ func (e *Estimator) measRows(t grid.Topology) ([]measRow, []int, error) {
 		rows = append(rows, measRow{cols: cols[start:end:end], vals: vals[start:end:end]})
 		idx = append(idx, i)
 	}
+	e.rows, e.rowsIdx = rows, idx
+	e.rowsKey, e.keyBuf = key, e.rowsKey
 	return rows, idx, nil
+}
+
+// measRowsKey appends to buf the bits of every input of measRows under
+// topology t: the grid's bits (grid.Grid.AppendBits), whether t maps each
+// line, and the plan's taken set.
+func (e *Estimator) measRowsKey(buf []byte, t grid.Topology) []byte {
+	buf = e.grid.AppendBits(buf)
+	for _, ln := range e.grid.Lines {
+		mapped := byte(0)
+		if t.Contains(ln.ID) {
+			mapped = 1
+		}
+		buf = append(buf, mapped)
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.plan.M()))
+	for i := 1; i <= e.plan.M(); i++ {
+		taken := byte(0)
+		if e.plan.Taken[i] {
+			taken = 1
+		}
+		buf = append(buf, taken)
+	}
+	return buf
 }
 
 // weightOf returns the configured weight of measurement i (default 1).
